@@ -8,6 +8,8 @@
 #ifndef EQX_COMMON_STATS_HH
 #define EQX_COMMON_STATS_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -109,6 +111,43 @@ class StatGroup
 
   private:
     std::map<std::string, double> values_;
+};
+
+/**
+ * Fixed set of hot-path event counters indexed by an enum whose last
+ * enumerator is `Count`. Incrementing is one array add; readers get a
+ * StatGroup snapshot through the owner's name table (one name per
+ * enumerator, enforced by the array type), holding only the counters
+ * that fired, so they see the same names and values a string-keyed
+ * StatGroup would have accumulated.
+ */
+template <typename E>
+class Counters
+{
+  public:
+    static constexpr std::size_t kSize = static_cast<std::size_t>(E::Count);
+    using Names = std::array<const char *, kSize>;
+
+    void inc(E e) { ++values_[static_cast<std::size_t>(e)]; }
+
+    std::uint64_t
+    operator[](E e) const
+    {
+        return values_[static_cast<std::size_t>(e)];
+    }
+
+    StatGroup
+    snapshot(const Names &names) const
+    {
+        StatGroup g;
+        for (std::size_t i = 0; i < kSize; ++i)
+            if (values_[i] != 0)
+                g.set(names[i], static_cast<double>(values_[i]));
+        return g;
+    }
+
+  private:
+    std::array<std::uint64_t, kSize> values_{};
 };
 
 /** Geometric mean of a vector (ignores non-positive entries). */

@@ -1,10 +1,36 @@
 #include "gpu/cache_bank.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
 
 namespace eqx {
+
+namespace {
+
+// One name per enumerator, in enum order.
+constexpr std::array kStatNames = {
+    "read_requests",
+    "write_requests",
+    "l2_read_hits",
+    "l2_write_hits",
+    "l2_read_misses",
+    "l2_write_misses",
+    "l2_miss_merges",
+    "fills",
+    "writebacks_done",
+    "replies_injected",
+    "stall_reply_queue",
+    "stall_mshr_targets",
+    "stall_mshr_full",
+    "stall_hbm_queue",
+    "invalidations_sent",
+    "invalidations_injected",
+    "inv_acks_received",
+};
+
+} // namespace
 
 CacheBank::CacheBank(NodeId node, const CbParams &params,
                      PacketInjector *reply_injector,
@@ -15,6 +41,11 @@ CacheBank::CacheBank(NodeId node, const CbParams &params,
            [this](const MemRequest &r, Cycle now) { onMemComplete(r, now); })
 {
     eqx_assert(replyInjector_ && sizes_, "cache bank needs its context");
+    eqx_assert(params_.requestsPerCycle >= 1,
+               "CB requestsPerCycle must be >= 1, got ",
+               params_.requestsPerCycle);
+    eqx_assert(params_.l2HitLatency >= 0,
+               "CB l2HitLatency must be >= 0, got ", params_.l2HitLatency);
 }
 
 bool
@@ -47,8 +78,7 @@ CacheBank::updateSharers(const PacketPtr &req)
         invQueue_.push_back(makePacket(PacketType::Invalidate, node_,
                                        sharer, sizes_->invalidateBits,
                                        req->addr, req->tag));
-        ++invSent_;
-        stats_.inc("invalidations_sent");
+        counters_.inc(CbStat::InvalidationsSent);
     }
     set.clear();
     set.insert(req->src);
@@ -57,16 +87,17 @@ CacheBank::updateSharers(const PacketPtr &req)
 void
 CacheBank::accept(const PacketPtr &pkt, Cycle)
 {
+    wakeAt_ = 0; // the only external wake: tick this cycle
     if (pkt->type == PacketType::InvAck) {
-        ++invAcks_;
-        stats_.inc("inv_acks_received");
+        counters_.inc(CbStat::InvAcksReceived);
         return;
     }
     if (cohEnabled_)
         updateSharers(pkt);
     inputQueue_.push_back(pkt);
-    stats_.inc(pkt->type == PacketType::ReadRequest ? "read_requests"
-                                                    : "write_requests");
+    counters_.inc(pkt->type == PacketType::ReadRequest
+                      ? CbStat::ReadRequests
+                      : CbStat::WriteRequests);
 }
 
 PacketPtr
@@ -93,7 +124,7 @@ CacheBank::processRequest(const PacketPtr &req, Cycle now)
         if (static_cast<int>(replyQueue_.size()) +
                 static_cast<int>(hitPipeline_.size()) >=
             params_.replyQueuePackets) {
-            stats_.inc("stall_reply_queue");
+            counters_.inc(CbStat::StallReplyQueue);
             return false;
         }
         if (is_write)
@@ -101,7 +132,7 @@ CacheBank::processRequest(const PacketPtr &req, Cycle now)
         hitPipeline_.push_back(
             {now + static_cast<Cycle>(params_.l2HitLatency),
              makeReply(req)});
-        stats_.inc(is_write ? "l2_write_hits" : "l2_read_hits");
+        counters_.inc(is_write ? CbStat::L2WriteHits : CbStat::L2ReadHits);
         return true;
     }
 
@@ -110,24 +141,25 @@ CacheBank::processRequest(const PacketPtr &req, Cycle now)
     if (it != missTable_.end()) {
         if (static_cast<int>(it->second.size()) >=
             params_.targetsPerMshr) {
-            stats_.inc("stall_mshr_targets");
+            counters_.inc(CbStat::StallMshrTargets);
             return false;
         }
         it->second.push_back(req);
-        stats_.inc("l2_miss_merges");
+        counters_.inc(CbStat::L2MissMerges);
         return true;
     }
     if (static_cast<int>(missTable_.size()) >= params_.mshrs) {
-        stats_.inc("stall_mshr_full");
+        counters_.inc(CbStat::StallMshrFull);
         return false;
     }
     if (!hbm_.canEnqueue(req->addr)) {
-        stats_.inc("stall_hbm_queue");
+        counters_.inc(CbStat::StallHbmQueue);
         return false;
     }
     hbm_.enqueue(MemRequest{req->addr, /*write=*/false, line}, now);
     missTable_[line].push_back(req);
-    stats_.inc(is_write ? "l2_write_misses" : "l2_read_misses");
+    counters_.inc(is_write ? CbStat::L2WriteMisses
+                           : CbStat::L2ReadMisses);
     return true;
 }
 
@@ -135,7 +167,7 @@ void
 CacheBank::onMemComplete(const MemRequest &mreq, Cycle)
 {
     if (mreq.write) {
-        stats_.inc("writebacks_done");
+        counters_.inc(CbStat::WritebacksDone);
         return;
     }
     Addr line = mreq.tag;
@@ -154,12 +186,14 @@ CacheBank::onMemComplete(const MemRequest &mreq, Cycle)
         replyQueue_.push_back(makeReply(req));
     }
     missTable_.erase(it);
-    stats_.inc("fills");
+    counters_.inc(CbStat::Fills);
 }
 
 void
 CacheBank::tick(Cycle now)
 {
+    if (now < wakeAt_)
+        return; // provably idle until then (nextDueCycle)
     hbm_.tick(now);
 
     // Retry dirty-victim writebacks.
@@ -187,7 +221,7 @@ CacheBank::tick(Cycle now)
          it != replyQueue_.end() && scanned < kDrainScan; ++scanned) {
         if (replyInjector_->tryInject(*it)) {
             it = replyQueue_.erase(it);
-            stats_.inc("replies_injected");
+            counters_.inc(CbStat::RepliesInjected);
         } else {
             ++it;
         }
@@ -201,7 +235,7 @@ CacheBank::tick(Cycle now)
          it != invQueue_.end() && scanned < kDrainScan; ++scanned) {
         if (replyInjector_->tryInject(*it)) {
             it = invQueue_.erase(it);
-            stats_.inc("invalidations_injected");
+            counters_.inc(CbStat::InvalidationsInjected);
         } else {
             ++it;
         }
@@ -215,6 +249,8 @@ CacheBank::tick(Cycle now)
             break; // structural stall: head blocks the queue
         inputQueue_.pop_front();
     }
+
+    wakeAt_ = nextDueCycle(now);
 }
 
 bool
@@ -241,6 +277,12 @@ CacheBank::nextDueCycle(Cycle now) const
     // missTable_ entries always have their fetch inside hbm_, so the
     // stack's due cycle covers them.
     return due;
+}
+
+StatGroup
+CacheBank::stats() const
+{
+    return counters_.snapshot(kStatNames);
 }
 
 } // namespace eqx

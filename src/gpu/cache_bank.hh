@@ -53,7 +53,37 @@ struct CoherenceParams
     int regionLines = 4; ///< cache lines per tracked region
 };
 
-/** One L2 bank with its memory controller and HBM stack. */
+/** Per-bank event counters (CacheBank::stats() names in cache_bank.cc). */
+enum class CbStat
+{
+    ReadRequests,
+    WriteRequests,
+    L2ReadHits,
+    L2WriteHits,
+    L2ReadMisses,
+    L2WriteMisses,
+    L2MissMerges,
+    Fills,
+    WritebacksDone,
+    RepliesInjected,
+    StallReplyQueue,
+    StallMshrTargets,
+    StallMshrFull,
+    StallHbmQueue,
+    InvalidationsSent,
+    InvalidationsInjected,
+    InvAcksReceived,
+    Count
+};
+
+/**
+ * One L2 bank with its memory controller and HBM stack.
+ *
+ * The bank gates its own tick (DESIGN.md §14): after each real tick it
+ * records the cycle nextDueCycle() names and returns at once from any
+ * earlier tick. accept() is the only external event that can give an
+ * idle bank work, so it clears the gate.
+ */
 class CacheBank : public PacketSink
 {
   public:
@@ -70,10 +100,18 @@ class CacheBank : public PacketSink
         coh_ = cp;
     }
 
-    std::uint64_t invalidationsSent() const { return invSent_; }
-    std::uint64_t invAcksReceived() const { return invAcks_; }
+    std::uint64_t
+    invalidationsSent() const
+    {
+        return counters_[CbStat::InvalidationsSent];
+    }
+    std::uint64_t
+    invAcksReceived() const
+    {
+        return counters_[CbStat::InvAcksReceived];
+    }
 
-    /** Advance one core cycle. */
+    /** Advance one core cycle; a no-op before the bank's wake cycle. */
     void tick(Cycle now);
 
     /** No queued work anywhere in the bank. */
@@ -90,7 +128,8 @@ class CacheBank : public PacketSink
 
     const TagArray &l2() const { return l2_; }
     const HbmStack &hbm() const { return hbm_; }
-    const StatGroup &stats() const { return stats_; }
+    /** Snapshot of the nonzero event counters, by name. */
+    StatGroup stats() const;
 
     // PacketSink (request ejection side).
     bool canAccept(const PacketPtr &pkt) override;
@@ -134,10 +173,11 @@ class CacheBank : public PacketSink
     CoherenceParams coh_;
     std::map<Addr, std::set<NodeId>> sharers_;
     std::deque<PacketPtr> invQueue_;
-    std::uint64_t invSent_ = 0;
-    std::uint64_t invAcks_ = 0;
 
-    StatGroup stats_;
+    /** tick() is a no-op before this cycle; accept() resets it. */
+    Cycle wakeAt_ = 0;
+
+    Counters<CbStat> counters_;
 };
 
 } // namespace eqx

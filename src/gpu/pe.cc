@@ -1,8 +1,31 @@
 #include "gpu/pe.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 
 namespace eqx {
+
+namespace {
+
+// One name per enumerator, in enum order.
+constexpr std::array kStatNames = {
+    "l1_read_hits",
+    "l1_read_merges",
+    "l1_read_misses",
+    "writes_issued",
+    "read_replies",
+    "write_replies",
+    "stall_mshr_targets",
+    "stall_mshr_full",
+    "stall_inject",
+    "stall_window",
+    "stall_ack_inject",
+    "invalidations_received",
+    "inv_acks_sent",
+};
+
+} // namespace
 
 ProcessingElement::ProcessingElement(NodeId node, const PeParams &params,
                                      std::unique_ptr<TrafficSource> trace,
@@ -35,35 +58,35 @@ ProcessingElement::processPendingMem()
 
     if (!pending_.isWrite) {
         if (l1_.probe(line)) {
-            stats_.inc("l1_read_hits");
+            counters_.inc(PeStat::L1ReadHits);
             return true;
         }
         if (l1Mshr_.pending(line)) {
             auto r = l1Mshr_.allocate(line, 0);
             if (r == MshrTable::Alloc::Full) {
-                stats_.inc("stall_mshr_targets");
+                counters_.inc(PeStat::StallMshrTargets);
                 return false;
             }
             ++outstanding_;
-            stats_.inc("l1_read_merges");
+            counters_.inc(PeStat::L1ReadMerges);
             return true;
         }
         if (l1Mshr_.full()) {
-            stats_.inc("stall_mshr_full");
+            counters_.inc(PeStat::StallMshrFull);
             return false;
         }
         PacketPtr pkt = makePacket(
             PacketType::ReadRequest, node_, amap_->cbNodeOf(pending_.addr),
             sizes_->readRequestBits, pending_.addr);
         if (!injector_->tryInject(pkt)) {
-            stats_.inc("stall_inject");
+            counters_.inc(PeStat::StallInject);
             return false;
         }
         auto r = l1Mshr_.allocate(line, 0);
         eqx_assert(r == MshrTable::Alloc::NewEntry,
                    "expected a fresh MSHR entry");
         ++outstanding_;
-        stats_.inc("l1_read_misses");
+        counters_.inc(PeStat::L1ReadMisses);
         return true;
     }
 
@@ -73,13 +96,13 @@ ProcessingElement::processPendingMem()
         PacketType::WriteRequest, node_, amap_->cbNodeOf(pending_.addr),
         sizes_->writeRequestBits, pending_.addr);
     if (!injector_->tryInject(pkt)) {
-        stats_.inc("stall_inject");
+        counters_.inc(PeStat::StallInject);
         return false;
     }
     if (l1_.contains(line))
         l1_.probe(line); // keep LRU state coherent with the update
     ++outstanding_;
-    stats_.inc("writes_issued");
+    counters_.inc(PeStat::WritesIssued);
     return true;
 }
 
@@ -90,15 +113,15 @@ ProcessingElement::tick(Cycle)
     // not be starved by the issue loop's structural stalls.
     while (!pendingAcks_.empty()) {
         if (!injector_->tryInject(pendingAcks_.front())) {
-            stats_.inc("stall_ack_inject");
+            counters_.inc(PeStat::StallAckInject);
             break;
         }
         pendingAcks_.pop_front();
-        stats_.inc("inv_acks_sent");
+        counters_.inc(PeStat::InvAcksSent);
     }
     for (int slot = 0; slot < params_.issueWidth; ++slot) {
         if (outstanding_ >= params_.maxOutstanding) {
-            stats_.inc("stall_window");
+            counters_.inc(PeStat::StallWindow);
             return;
         }
         if (!havePending_) {
@@ -141,17 +164,17 @@ ProcessingElement::accept(const PacketPtr &pkt, Cycle)
         if (!l1_.contains(line))
             l1_.insert(line, /*dirty=*/false); // write-through: clean
         outstanding_ -= static_cast<int>(targets.size());
-        stats_.inc("read_replies");
+        counters_.inc(PeStat::ReadReplies);
     } else if (pkt->type == PacketType::WriteReply) {
         --outstanding_;
-        stats_.inc("write_replies");
+        counters_.inc(PeStat::WriteReplies);
     } else if (pkt->type == PacketType::Invalidate) {
         // Coherence: drop the line and answer with a fire-and-forget
         // InvAck back to the CB. Not part of the outstanding window —
         // invalidations are unsolicited.
         Addr line = amap_->lineOf(pkt->addr);
         l1_.invalidate(line);
-        stats_.inc("invalidations_received");
+        counters_.inc(PeStat::InvalidationsReceived);
         pendingAcks_.push_back(makePacket(PacketType::InvAck, node_,
                                           pkt->src, sizes_->invAckBits,
                                           pkt->addr, pkt->tag));
@@ -160,6 +183,12 @@ ProcessingElement::accept(const PacketPtr &pkt, Cycle)
         eqx_panic("PE received a request packet");
     }
     eqx_assert(outstanding_ >= 0, "outstanding underflow at PE ", node_);
+}
+
+StatGroup
+ProcessingElement::stats() const
+{
+    return counters_.snapshot(kStatNames);
 }
 
 } // namespace eqx

@@ -36,6 +36,25 @@ struct PeParams
     int issueWidth = 2;      ///< instructions issued per cycle
 };
 
+/** Per-PE event counters (ProcessingElement::stats() names in pe.cc). */
+enum class PeStat
+{
+    L1ReadHits,
+    L1ReadMerges,
+    L1ReadMisses,
+    WritesIssued,
+    ReadReplies,
+    WriteReplies,
+    StallMshrTargets,
+    StallMshrFull,
+    StallInject,
+    StallWindow,
+    StallAckInject,
+    InvalidationsReceived,
+    InvAcksSent,
+    Count
+};
+
 /** One PE. Also the PacketSink for replies delivered at its node. */
 class ProcessingElement : public PacketSink
 {
@@ -85,7 +104,8 @@ class ProcessingElement : public PacketSink
     std::uint64_t instsIssued() const { return instsIssued_; }
     int outstanding() const { return outstanding_; }
     const TagArray &l1() const { return l1_; }
-    const StatGroup &stats() const { return stats_; }
+    /** Snapshot of the nonzero event counters, by name. */
+    StatGroup stats() const;
 
     // PacketSink: replies are always consumed immediately.
     bool canAccept(const PacketPtr &pkt) override;
@@ -113,7 +133,7 @@ class ProcessingElement : public PacketSink
     std::deque<PacketPtr> pendingAcks_;
 
     std::uint64_t instsIssued_ = 0;
-    StatGroup stats_;
+    Counters<PeStat> counters_;
 };
 
 } // namespace eqx

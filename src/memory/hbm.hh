@@ -11,7 +11,6 @@
 #define EQX_MEMORY_HBM_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <queue>
 #include <vector>
@@ -49,14 +48,34 @@ struct MemRequest
     std::uint64_t tag = 0;
 };
 
+/** Per-stack event counters (HbmStack::stats() names in hbm.cc). */
+enum class HbmStat
+{
+    Reads,
+    Writes,
+    RowHits,
+    RowConflicts,
+    RowEmpty,
+    Completions,
+    Count
+};
+
 /**
  * One HBM stack with FR-FCFS scheduling. The owner ticks it once per
  * core cycle; completions fire the callback with the original request.
+ *
+ * The stack pays per event, not per channel per cycle (DESIGN.md §14):
+ * a bitmask tracks the channels with queued work, and each of them
+ * caches the first cycle it can issue, so an idle or waiting stack's
+ * tick touches no channel at all.
  */
 class HbmStack
 {
   public:
     using Callback = std::function<void(const MemRequest &, Cycle)>;
+
+    /** Widest stack the backlog bitmask can track. */
+    static constexpr int kMaxChannels = 64;
 
     explicit HbmStack(const HbmParams &params, Callback on_complete);
 
@@ -66,7 +85,7 @@ class HbmStack
     /** Add a request (caller must have checked canEnqueue). */
     void enqueue(const MemRequest &req, Cycle now);
 
-    /** Advance one core cycle: issue per channel, fire completions. */
+    /** Advance one core cycle: fire completions, issue per channel. */
     void tick(Cycle now);
 
     /**
@@ -81,7 +100,8 @@ class HbmStack
     /** Requests accepted but not yet completed. */
     int outstanding() const { return outstanding_; }
 
-    const StatGroup &stats() const { return stats_; }
+    /** Snapshot of the nonzero event counters, by name. */
+    StatGroup stats() const;
 
     /** Address decomposition helpers (line-interleaved channels). */
     int channelOf(Addr addr) const;
@@ -95,11 +115,26 @@ class HbmStack
         Cycle readyAt = 0;
     };
 
+    /** A queued request with its address decoded once, at enqueue. */
+    struct Queued
+    {
+        MemRequest req;
+        int bank = 0;
+        std::int64_t row = 0;
+    };
+
     struct Channel
     {
-        std::deque<MemRequest> queue;
+        std::vector<Queued> queue; ///< arrival order (FCFS tie-break)
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
+        /**
+         * First cycle issueChannel() can issue: the later of busFreeAt
+         * and the earliest readyAt among queued requests' banks. Both
+         * inputs change only on enqueue and on an issue from this
+         * channel, which refresh it; meaningful while backlogged.
+         */
+        Cycle issueAt = kNeverCycle;
     };
 
     struct Inflight
@@ -112,16 +147,17 @@ class HbmStack
         }
     };
 
-    void issueChannel(Channel &ch, Cycle now);
+    void issueChannel(int c, Cycle now);
 
     HbmParams params_;
     Callback onComplete_;
     std::vector<Channel> channels_;
+    std::uint64_t backlog_ = 0; ///< bit c = channel c has queued work
     std::priority_queue<Inflight, std::vector<Inflight>,
                         std::greater<Inflight>>
         inflight_;
     int outstanding_ = 0;
-    StatGroup stats_;
+    Counters<HbmStat> counters_;
 };
 
 } // namespace eqx

@@ -350,5 +350,32 @@ TEST(Geomean, Basics)
     EXPECT_DOUBLE_EQ(geomean({4.0, 1.0, 0.0, -3.0}), 2.0);
 }
 
+enum class DemoStat
+{
+    Hits,
+    Misses,
+    Stalls,
+    Count
+};
+
+TEST(Counters, SnapshotHoldsOnlyCountersThatFired)
+{
+    Counters<DemoStat> c;
+    const Counters<DemoStat>::Names names = {"hits", "misses", "stalls"};
+    EXPECT_TRUE(c.snapshot(names).all().empty());
+    c.inc(DemoStat::Hits);
+    c.inc(DemoStat::Hits);
+    c.inc(DemoStat::Stalls);
+    EXPECT_EQ(c[DemoStat::Hits], 2u);
+    EXPECT_EQ(c[DemoStat::Misses], 0u);
+    StatGroup g = c.snapshot(names);
+    EXPECT_DOUBLE_EQ(g.get("hits"), 2.0);
+    EXPECT_DOUBLE_EQ(g.get("stalls"), 1.0);
+    // A counter that never fired is absent, as an unincremented
+    // StatGroup key would be.
+    EXPECT_FALSE(g.has("misses"));
+    EXPECT_EQ(g.all().size(), 2u);
+}
+
 } // namespace
 } // namespace eqx

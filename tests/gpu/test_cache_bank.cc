@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "gpu/cache_bank.hh"
@@ -18,18 +19,23 @@ class CapturingInjector : public PacketInjector
         if (!accepting)
             return false;
         sent.push_back(pkt);
+        sentAt.push_back(clock ? *clock : 0);
         return true;
     }
 
     bool accepting = true;
     std::vector<PacketPtr> sent;
+    const Cycle *clock = nullptr; ///< stamps sentAt when set
+    std::vector<Cycle> sentAt;
 };
 
 struct Fixture
 {
     explicit Fixture(CbParams p = CbParams{})
         : cb(5, p, &inj, &sizes)
-    {}
+    {
+        inj.clock = &clock;
+    }
 
     void
     run(int cycles)
@@ -182,6 +188,121 @@ TEST(CacheBank, DirtyEvictionWritesBack)
     EXPECT_GE(f.cb.hbm().stats().get("writes"), 1.0);
     EXPECT_GE(f.cb.stats().get("writebacks_done"), 1.0);
     EXPECT_TRUE(f.cb.drained());
+}
+
+/**
+ * A bank that drains and then idles for a long stretch must come back
+ * on accept() and serve the request in that very cycle: the reply
+ * timing is the bank's fixed pipeline, whether the idle cycles were
+ * ticked (and gated inside the bank) or skipped by the owner.
+ */
+TEST(CacheBank, AcceptWakesIdleBankSameCycle)
+{
+    const CbParams p;
+    const DramTiming &t = p.hbm.timing;
+    for (bool tick_idle : {true, false}) {
+        SCOPED_TRACE(tick_idle ? "idle cycles ticked"
+                               : "idle cycles skipped");
+        Fixture f(p);
+        // Drive as System does: a request is accepted (NoC ejection)
+        // before the bank's tick in the same cycle, and with skipping
+        // on, the owner jumps to one cycle before the bank's due cycle.
+        auto advance_to = [&](Cycle target) {
+            while (f.clock < target) {
+                Cycle due = f.cb.nextDueCycle(f.clock);
+                if (tick_idle || due <= f.clock + 1)
+                    f.cb.tick(++f.clock);
+                else
+                    f.clock = std::min(target, due - 1);
+            }
+        };
+
+        // Cold miss: HBM issues the cycle after accept, row empty.
+        Cycle t0 = 10;
+        advance_to(t0 - 1);
+        f.cb.accept(f.request(0x4000), t0);
+        advance_to(t0 + 200);
+        ASSERT_EQ(f.inj.sentAt.size(), 1u);
+        EXPECT_EQ(f.inj.sentAt[0],
+                  t0 + 1 + static_cast<Cycle>(t.tRCD + t.tCL + t.tBL));
+        ASSERT_TRUE(f.cb.drained());
+        EXPECT_EQ(f.cb.nextDueCycle(f.clock), kNeverCycle);
+
+        // Long idle stretch, then an L2 hit.
+        Cycle t1 = t0 + 50000;
+        advance_to(t1 - 1);
+        f.cb.accept(f.request(0x4000), t1);
+        advance_to(t1 + 200);
+        ASSERT_EQ(f.inj.sentAt.size(), 2u);
+        EXPECT_EQ(f.inj.sentAt[1], t1 + static_cast<Cycle>(p.l2HitLatency));
+
+        // Another idle stretch, then a miss to the same open DRAM row.
+        Cycle t2 = t1 + 70000;
+        advance_to(t2 - 1);
+        f.cb.accept(f.request(0x4000 + 64 * 16 * 8), t2);
+        advance_to(t2 + 200);
+        ASSERT_EQ(f.inj.sentAt.size(), 3u);
+        EXPECT_EQ(f.inj.sentAt[2],
+                  t2 + 1 + static_cast<Cycle>(t.tCL + t.tBL));
+        EXPECT_EQ(f.cb.stats().get("l2_read_misses"), 2.0);
+        EXPECT_EQ(f.cb.hbm().stats().get("row_hits"), 1.0);
+        EXPECT_TRUE(f.cb.drained());
+    }
+}
+
+/**
+ * InvAcks go through accept() too: one arriving at an idle bank, or in
+ * the middle of an L2 hit, must leave the bank's timing untouched.
+ */
+TEST(CacheBank, InvAckAcceptKeepsTiming)
+{
+    const CbParams p;
+    Fixture f(p);
+    auto ack = [&] {
+        return makePacket(PacketType::InvAck, 1, 5, f.sizes.invAckBits, 0);
+    };
+
+    f.cb.accept(f.request(0x4000), 1);
+    f.run(300);
+    ASSERT_EQ(f.inj.sent.size(), 1u);
+
+    // Idle bank: the ack is counted and the bank stays drained.
+    f.run(4700);
+    ASSERT_TRUE(f.cb.canAccept(ack()));
+    f.cb.accept(ack(), f.clock + 1);
+    f.run(1);
+    EXPECT_EQ(f.cb.invAcksReceived(), 1u);
+    EXPECT_TRUE(f.cb.drained());
+    EXPECT_EQ(f.cb.nextDueCycle(f.clock), kNeverCycle);
+    EXPECT_EQ(f.inj.sent.size(), 1u);
+
+    // An ack mid-hit: the reply still leaves at the hit latency.
+    f.run(3998);
+    Cycle t1 = f.clock + 1;
+    f.cb.accept(f.request(0x4000, false, 2), t1);
+    f.run(4);
+    f.cb.accept(ack(), f.clock + 1);
+    f.run(100);
+    ASSERT_EQ(f.inj.sentAt.size(), 2u);
+    EXPECT_EQ(f.inj.sentAt[1], t1 + static_cast<Cycle>(p.l2HitLatency));
+    EXPECT_EQ(f.cb.invAcksReceived(), 2u);
+    EXPECT_EQ(f.cb.stats().get("inv_acks_received"), 2.0);
+    EXPECT_TRUE(f.cb.drained());
+}
+
+TEST(CacheBank, RejectsInvalidParams)
+{
+    CapturingInjector inj;
+    PacketSizes sizes;
+    CbParams p;
+    p.requestsPerCycle = 0;
+    EXPECT_THROW(CacheBank(5, p, &inj, &sizes), std::logic_error);
+    p = CbParams{};
+    p.l2HitLatency = -1;
+    EXPECT_THROW(CacheBank(5, p, &inj, &sizes), std::logic_error);
+    p = CbParams{};
+    p.hbm.lineBytes = 0;
+    EXPECT_THROW(CacheBank(5, p, &inj, &sizes), std::logic_error);
 }
 
 TEST(CacheBank, ReplyDelivModeRejectsReplies)

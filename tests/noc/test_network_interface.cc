@@ -299,8 +299,12 @@ TEST(NiInjection, PerBufferLoadCountersTrackInjection)
     auto pkt = makePacket(PacketType::ReadReply, 0, 5, 640); // 5 flits
     ASSERT_TRUE(ni.inject(pkt, 0));
     Cycle t = 0;
-    for (int i = 0; i < 10; ++i)
-        ni.tick(++t, t);
+    // One network tick per core cycle (1:1 clocks): both arguments
+    // are the cycle being run.
+    for (int i = 0; i < 10; ++i) {
+        ++t;
+        ni.tick(t, t);
+    }
     EXPECT_EQ(ni.injBuffer(0).packetsInjected, 1u);
     EXPECT_EQ(ni.injBuffer(0).flitsInjected, 5u);
 
@@ -325,8 +329,12 @@ TEST(NiInjection, CreditStallTicksCountStarvation)
     auto pkt = makePacket(PacketType::ReadReply, 0, 5, 640);
     ASSERT_TRUE(ni.inject(pkt, 0));
     Cycle t = 0;
-    for (int i = 0; i < 10; ++i)
-        ni.tick(++t, t);
+    // One network tick per core cycle (1:1 clocks): both arguments
+    // are the cycle being run.
+    for (int i = 0; i < 10; ++i) {
+        ++t;
+        ni.tick(t, t);
+    }
     EXPECT_EQ(ni.injBuffer(0).flitsInjected, 2u);
     EXPECT_GE(ni.injBuffer(0).creditStallTicks, 6u);
 }
@@ -343,8 +351,12 @@ TEST(NiInjection, SerializesAndStampsPacket)
     auto pkt = makePacket(PacketType::ReadReply, 0, 5, 640); // 5 flits
     ASSERT_TRUE(ni.inject(pkt, 10));
     Cycle t = 10;
-    for (int i = 0; i < 10; ++i)
-        ni.tick(++t, t);
+    // One network tick per core cycle (1:1 clocks): both arguments
+    // are the cycle being run.
+    for (int i = 0; i < 10; ++i) {
+        ++t;
+        ni.tick(t, t);
+    }
     // 5 flits must have been sent, head first.
     int n = 0;
     Flit f;

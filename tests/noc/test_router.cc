@@ -159,11 +159,12 @@ TEST_F(RouterHarness, AtomicVcSecondPacketWaitsForDownstreamDrain)
     // out VC 0 and 1 both show fewer than full credits only while
     // occupied; with no creditArrived calls the third packet can only
     // be granted a VC whose credits are still full.
-    if (inVc(0).state == VcState::Active)
+    if (inVc(0).state == VcState::Active) {
         EXPECT_EQ(router->outputPort(outPort)
                       .vcs[static_cast<std::size_t>(inVc(0).outVc)]
                       .busy,
                   true);
+    }
 }
 
 TEST_F(RouterHarness, NoCreditsNoTraversal)

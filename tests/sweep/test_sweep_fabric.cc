@@ -64,16 +64,20 @@ std::string
 normalizeWall(std::string s)
 {
     const std::string key = "\"wall_ms\":";
+    std::string out;
     std::size_t pos = 0;
-    while ((pos = s.find(key, pos)) != std::string::npos) {
-        std::size_t vstart = pos + key.size();
+    for (std::size_t hit = s.find(key); hit != std::string::npos;
+         hit = s.find(key, pos)) {
+        std::size_t vstart = hit + key.size();
         std::size_t vend = vstart;
         while (vend < s.size() && s[vend] != ',' && s[vend] != '}')
             ++vend;
-        s.replace(vstart, vend - vstart, "0");
-        pos = vstart;
+        out.append(s, pos, vstart - pos);
+        out += '0';
+        pos = vend;
     }
-    return s;
+    out.append(s, pos);
+    return out;
 }
 
 /** 2 schemes x 2 benchmarks, tiny: 4 cells, sequential pool. */
