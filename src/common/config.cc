@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <cerrno>
 #include <charconv>
 #include <cstdlib>
 
@@ -45,8 +46,9 @@ Config::getInt(const std::string &key, long fallback) const
     if (it == kv_.end())
         return fallback;
     char *end = nullptr;
+    errno = 0;
     long v = std::strtol(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE)
         eqx_fatal("config key '", key, "' is not an integer: ", it->second);
     return v;
 }

@@ -1,6 +1,6 @@
 #include "sweep/shard.hh"
 
-#include <cstdlib>
+#include <charconv>
 #include <map>
 
 #include "runner/jsonl.hh"
@@ -20,12 +20,18 @@ parseShardSpec(const std::string &spec, int &index, int &count)
     for (std::size_t i = 0; i < spec.size(); ++i)
         if (i != slash && (spec[i] < '0' || spec[i] > '9'))
             return false;
-    long i = std::strtol(spec.substr(0, slash).c_str(), nullptr, 10);
-    long n = std::strtol(spec.substr(slash + 1).c_str(), nullptr, 10);
-    if (n < 1 || i < 0 || i >= n)
+    // Parse straight into int: an out-of-range side is rejected, not
+    // narrowed.
+    const char *p = spec.data();
+    int i = 0;
+    int n = 0;
+    if (std::from_chars(p, p + slash, i).ec != std::errc() ||
+        std::from_chars(p + slash + 1, p + spec.size(), n).ec != std::errc())
         return false;
-    index = static_cast<int>(i);
-    count = static_cast<int>(n);
+    if (n < 1 || i >= n)
+        return false;
+    index = i;
+    count = n;
     return true;
 }
 

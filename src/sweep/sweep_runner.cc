@@ -97,8 +97,7 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
 
     {
         auto prev = ec.cellDone;
-        auto onCell = opt.onCell;
-        ec.cellDone = [state, onCell, prev](const CellResult &c) {
+        ec.cellDone = [state, prev](const CellResult &c) {
             const CellDigest &d = state->digests[c.index];
             std::uint8_t src = state->source[c.index];
             if (!c.failed) {
@@ -116,8 +115,6 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
                 if (state->cache && src != kCache)
                     state->cache->store(d, c);
             }
-            if (onCell)
-                onCell(d, c);
             if (prev)
                 prev(c);
         };

@@ -16,7 +16,6 @@
 #define EQX_SWEEP_SWEEP_RUNNER_HH
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,12 +38,6 @@ struct SweepOptions
     /** This process owns cells with shard == shardIndex of shardCount. */
     int shardIndex = 0;
     int shardCount = 1;
-    /**
-     * Called (serialized) after every finished cell with its digest —
-     * the sweepd streaming point. Runs after the cell is journaled
-     * and stored, so a crash mid-callback loses no work.
-     */
-    std::function<void(const CellDigest &, const CellResult &)> onCell;
 
     bool enabled() const
     {

@@ -54,6 +54,8 @@ TEST(Config, BadTypeIsFatal)
     EXPECT_THROW(c.getInt("s"), std::runtime_error);
     EXPECT_THROW(c.getDouble("s"), std::runtime_error);
     EXPECT_THROW(c.getBool("s"), std::runtime_error);
+    c.set("w", std::string("99999999999999999999")); // exceeds long
+    EXPECT_THROW(c.getInt("w"), std::runtime_error);
 }
 
 TEST(Config, BoolSpellings)

@@ -409,6 +409,8 @@ TEST(Shard, ParseSpec)
     EXPECT_FALSE(parseShardSpec("1/0", i, n));
     EXPECT_FALSE(parseShardSpec("-1/4", i, n));
     EXPECT_FALSE(parseShardSpec("a/b", i, n));
+    EXPECT_FALSE(parseShardSpec("0/4294967297", i, n)); // int overflow
+    EXPECT_FALSE(parseShardSpec("0/99999999999999999999", i, n));
 }
 
 TEST(Shard, DeterministicDisjointPartition)

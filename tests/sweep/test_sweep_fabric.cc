@@ -127,20 +127,6 @@ TEST(Fabric, SecondIdenticalSweepIsFullyCacheServed)
     EXPECT_EQ(second.stats.get("cache.hits"), 4.0);
 }
 
-TEST(Fabric, OnCellFiresForEveryCell)
-{
-    std::string dir = makeTempDir();
-    SweepOptions opt;
-    opt.cacheDir = dir + "/cache";
-    std::vector<std::string> seen;
-    opt.onCell = [&](const CellDigest &d, const CellResult &cell) {
-        seen.push_back(cell.scheme + "/" + cell.benchmark + "@" +
-                       d.hex());
-    };
-    SweepOutcome out = runSweep(smallMatrix(), opt);
-    EXPECT_EQ(seen.size(), out.cells.size());
-}
-
 TEST(Fabric, CrashResumeFromArbitraryTruncationOffsets)
 {
     std::string dir = makeTempDir();
