@@ -175,19 +175,4 @@ CrossingLedger::remove(int slot)
     eqx_assert(count_ >= 0, "ledger crossing count went negative");
 }
 
-bool
-CrossingLedger::occupied(int slot) const
-{
-    return slot >= 0 && static_cast<std::size_t>(slot) < slots_.size() &&
-           !slots_[static_cast<std::size_t>(slot)].empty();
-}
-
-void
-CrossingLedger::clear()
-{
-    slots_.clear();
-    total_ = 0;
-    count_ = 0;
-}
-
 } // namespace eqx

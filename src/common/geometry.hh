@@ -75,17 +75,11 @@ class CrossingLedger
     /** Remove slot @p slot's segments and their crossings. */
     void remove(int slot);
 
-    /** True if the slot currently holds segments. */
-    bool occupied(int slot) const;
-
     /** Current pairwise crossing count over all present segments. */
     int crossings() const { return count_; }
 
     /** Total number of present segments. */
     std::size_t size() const { return total_; }
-
-    /** Drop every slot. */
-    void clear();
 
   private:
     /** Crossings between @p segs and every *other* slot's segments. */

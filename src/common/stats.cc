@@ -133,12 +133,6 @@ Histogram::merge(const Histogram &o)
 }
 
 void
-StatGroup::inc(const std::string &name, double delta)
-{
-    values_[name] += delta;
-}
-
-void
 StatGroup::set(const std::string &name, double value)
 {
     values_[name] = value;
@@ -155,13 +149,6 @@ bool
 StatGroup::has(const std::string &name) const
 {
     return values_.count(name) > 0;
-}
-
-void
-StatGroup::merge(const StatGroup &o)
-{
-    for (const auto &[k, v] : o.values_)
-        values_[k] += v;
 }
 
 double

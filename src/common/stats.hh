@@ -91,14 +91,13 @@ class Histogram
 };
 
 /**
- * A named bag of scalar statistics; components register counters here
- * and the experiment runner dumps them uniformly.
+ * A named bag of scalar statistics. Counters snapshots and
+ * Network::exportStats fill it; the experiment runner dumps it
+ * uniformly.
  */
 class StatGroup
 {
   public:
-    /** Increment a named counter. */
-    void inc(const std::string &name, double delta = 1.0);
     /** Set a named value outright. */
     void set(const std::string &name, double value);
     /** Read a named value (0 if absent). */
@@ -106,7 +105,6 @@ class StatGroup
     bool has(const std::string &name) const;
 
     const std::map<std::string, double> &all() const { return values_; }
-    void merge(const StatGroup &o);
     void reset() { values_.clear(); }
 
   private:

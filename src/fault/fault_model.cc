@@ -9,22 +9,6 @@
 
 namespace eqx {
 
-const char *
-faultKindName(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::TransientStall:
-        return "stall";
-      case FaultKind::TransientCorrupt:
-        return "corrupt";
-      case FaultKind::PermanentLinkKill:
-        return "link_kill";
-      case FaultKind::PermanentRouterInjKill:
-        return "router_kill";
-    }
-    return "?";
-}
-
 bool
 parseFaultKinds(const std::string &spec, std::uint32_t &kinds_out)
 {

@@ -64,8 +64,6 @@ constexpr std::uint32_t kPermanentFaultKinds =
 constexpr std::uint32_t kAllFaultKinds =
     kTransientFaultKinds | kPermanentFaultKinds;
 
-const char *faultKindName(FaultKind k);
-
 /**
  * Parse a comma-separated kind list ("stall,corrupt", "link_kill",
  * "router_kill", or the groups "transient" / "permanent" / "all") into

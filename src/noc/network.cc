@@ -15,6 +15,8 @@ Network::Network(const NetworkSpec &spec)
     eqx_assert(params_.width >= 2 && params_.height >= 2,
                "mesh must be at least 2x2");
     eqx_assert(params_.vcsPerPort >= 1, "need at least one VC");
+    eqx_assert(params_.vcDepthFlits <= 127,
+               "byte-wide credit counters cap vcDepthFlits at 127");
     if (params_.classVcs)
         eqx_assert(params_.vcsPerPort >= 2,
                    "class-segregated VCs need >= 2 VCs");
@@ -75,8 +77,7 @@ Network::Network(const NetworkSpec &spec)
             int in_idx = routerRef(b).addInputPort(PortKind::Geo,
                                                    opposite(d), cc);
             int out_idx = routerRef(a).addOutputPort(
-                PortKind::Geo, d, fc, params_.vcDepthFlits,
-                params_.geoLinksInterposer);
+                PortKind::Geo, d, fc, params_.geoLinksInterposer);
             routerFlitWires_.push_back({fc, b, in_idx});
             routerCreditWires_.push_back({cc, a, out_idx});
         }
@@ -134,8 +135,8 @@ Network::Network(const NetworkSpec &spec)
             auto *fc = newFlitChan(1);
             auto *cc = newCreditChan(1);
             int ej = ni->addEjPort(cc);
-            int out_idx = routerRef(r).addOutputPort(
-                PortKind::LocalEj, Dir::Local, fc, params_.vcDepthFlits);
+            int out_idx = routerRef(r).addOutputPort(PortKind::LocalEj,
+                                                     Dir::Local, fc);
             niFlitWires_.push_back({fc, i, ej});
             routerCreditWires_.push_back({cc, r, out_idx});
         }
@@ -773,7 +774,7 @@ Network::exportStats(StatGroup &sg, const std::string &prefix) const
             key += "in.";
             appendPortLabel(key, ip.kind, ip.dir, nth[k]++);
             key += ".flits";
-            emit(static_cast<double>(ip.flitsAccepted));
+            emit(static_cast<double>(r.flitsAccepted(p)));
         }
         nth[0] = nth[1] = nth[2] = nth[3] = 0;
         for (int p = 0; p < r.numOutputPorts(); ++p) {
@@ -783,7 +784,7 @@ Network::exportStats(StatGroup &sg, const std::string &prefix) const
             key += "out.";
             appendPortLabel(key, op.kind, op.dir, nth[k]++);
             key += ".flits";
-            emit(static_cast<double>(op.flitsSent));
+            emit(static_cast<double>(r.flitsSent(p)));
         }
     }
 

@@ -28,13 +28,7 @@ Router::addInputPort(PortKind kind, Dir dir, Channel<Credit> *credit_up)
                        static_cast<std::size_t>(params_->vcsPerPort) <=
                    kMaxInVcs,
                "pending-VC bitmasks support at most 64 input VCs");
-    InputPort p;
-    p.kind = kind;
-    p.dir = dir;
-    p.vcs.assign(static_cast<std::size_t>(params_->vcsPerPort),
-                 VcBuffer(params_->vcDepthFlits));
-    p.creditUp = credit_up;
-    inputs_.push_back(std::move(p));
+    inputs_.push_back({kind, dir});
     int idx = static_cast<int>(inputs_.size()) - 1;
     creditUp_[idx] = credit_up;
     flitStore_.resize(inputs_.size() *
@@ -45,7 +39,7 @@ Router::addInputPort(PortKind kind, Dir dir, Channel<Credit> *credit_up)
 
 int
 Router::addOutputPort(PortKind kind, Dir dir, Channel<Flit> *out,
-                      int downstream_depth, bool interposer)
+                      bool interposer)
 {
     eqx_assert(kind == PortKind::Geo || kind == PortKind::LocalEj,
                "outputs connect to neighbours or the NI ejection side");
@@ -55,23 +49,14 @@ Router::addOutputPort(PortKind kind, Dir dir, Channel<Flit> *out,
                        static_cast<std::size_t>(params_->vcsPerPort) <=
                    kMaxOutVcs,
                "flat output-VC state supports at most 64 output VCs");
-    OutputPort p;
-    p.kind = kind;
-    p.dir = dir;
-    p.out = out;
-    p.interposer = interposer;
-    p.vcs.assign(static_cast<std::size_t>(params_->vcsPerPort), OutputVc{});
-    for (auto &vc : p.vcs)
-        vc.credits = downstream_depth;
-    outputs_.push_back(std::move(p));
+    outputs_.push_back({kind, dir});
     int idx = static_cast<int>(outputs_.size()) - 1;
-    if (downstream_depth != params_->vcDepthFlits)
-        uniformCredit_ = false;
-    eqx_assert(downstream_depth <= 127,
-               "byte-wide credit counters cap downstream depth at 127");
+    // Every downstream buffer is a router input VC or an NI ejection
+    // VC of this network, so it holds vcDepthFlits (Network caps that
+    // at 127 for the byte-wide credit counters).
     for (int vi = 0; vi < params_->vcsPerPort; ++vi) {
         int of = idx * params_->vcsPerPort + vi;
-        outCredits_[of] = static_cast<std::int8_t>(downstream_depth);
+        outCredits_[of] = static_cast<std::int8_t>(params_->vcDepthFlits);
         freeOutVcs_ |= std::uint64_t{1} << of;
     }
     outChan_[idx] = out;
@@ -329,7 +314,6 @@ bool
 Router::chooseVcRequest(int flat, Cycle now, int &req_port, int &req_vc)
 {
     int v = params_->vcsPerPort;
-    int depth = params_->vcDepthFlits;
 
     // Determine the permitted VC window on non-ejection ports.
     int lo = 0, hi = v - 1;
@@ -350,97 +334,20 @@ Router::chooseVcRequest(int flat, Cycle now, int &req_port, int &req_vc)
     const std::int8_t *cand = vc_[flat].cand;
     int nc = vc_[flat].candCount;
 
-    if (uniformCredit_) {
-        // Every free VC holds exactly `depth` credits (atomic VC
-        // rule), so the max-credit tie-break degenerates to "first
-        // free VC in scan order": one mask-and-scan per candidate
-        // port replaces the credit-compare loop. freeOutVcs_ is
-        // maintained at every busy/credit transition.
-        auto firstFree = [&](int port, int lo_vc, int hi_vc) -> int {
-            std::uint64_t m = (freeOutVcs_ >> (port * v)) &
-                              ((std::uint64_t{2} << hi_vc) -
-                               (std::uint64_t{1} << lo_vc));
-            return m ? std::countr_zero(m) : -1;
-        };
-        if (vc_[flat].ejecting) {
-            for (int i = 0; i < nc; ++i) {
-                int vc = firstFree(cand[i], 0, v - 1);
-                if (vc >= 0) {
-                    req_port = cand[i];
-                    req_vc = vc;
-                    return true;
-                }
-            }
-            return false;
-        }
-        if (adaptive) {
-            if (wrap_) {
-                // Torus escape discipline (Duato over the dateline
-                // subnetwork): the top two VCs form the escape pair,
-                // v-2 for class 0 (wrap link ahead) and v-1 for
-                // class 1. The per-ring (position, class) order
-                // strictly increases along escape hops, so the escape
-                // subnetwork is cycle-free (DESIGN.md §17). Network
-                // asserts vcsPerPort >= 3 here.
-                int esc = v - 2 + vc_[flat].cls;
-                if (flat % v >= v - 2) {
-                    // Escape input: stay on the dateline pair, XY
-                    // (candidate 0) only.
-                    int vc = firstFree(cand[0], esc, esc);
-                    if (vc < 0)
-                        return false;
-                    req_port = cand[0];
-                    req_vc = vc;
-                    return true;
-                }
-                for (int i = 0; i < nc; ++i) {
-                    int vc = firstFree(cand[i], 0, v - 3);
-                    if (vc >= 0) {
-                        req_port = cand[i];
-                        req_vc = vc;
-                        return true;
-                    }
-                }
-                // Blocked on all adaptive VCs: fall into escape.
-                int vc = firstFree(cand[0], esc, esc);
-                if (vc >= 0) {
-                    req_port = cand[0];
-                    req_vc = vc;
-                    return true;
-                }
-                return false;
-            }
-            if (flat % v == escapeVc() && v > 1) {
-                // Escape discipline: stay on the escape VC along XY.
-                int vc = firstFree(cand[0], escapeVc(), escapeVc());
-                if (vc < 0)
-                    return false;
-                req_port = cand[0];
-                req_vc = vc;
-                return true;
-            }
-            int adaptive_vcs = std::max(1, v - 1);
-            for (int i = 0; i < nc; ++i) {
-                int vc = firstFree(cand[i], 0, adaptive_vcs - 1);
-                if (vc >= 0) {
-                    req_port = cand[i];
-                    req_vc = vc;
-                    return true;
-                }
-            }
-            if (v > 1) {
-                // Blocked on all adaptive VCs: fall into escape.
-                int vc = firstFree(cand[0], escapeVc(), escapeVc());
-                if (vc >= 0) {
-                    req_port = cand[0];
-                    req_vc = vc;
-                    return true;
-                }
-            }
-            return false;
-        }
+    // Atomic VC buffers: a downstream VC is allocatable only when idle
+    // and empty, i.e. holding all vcDepthFlits credits. Every free VC
+    // therefore ties on credits, and the pick is the first free VC in
+    // scan order: one mask-and-scan per candidate port. freeOutVcs_ is
+    // maintained at every busy/credit transition.
+    auto firstFree = [&](int port, int lo_vc, int hi_vc) -> int {
+        std::uint64_t m = (freeOutVcs_ >> (port * v)) &
+                          ((std::uint64_t{2} << hi_vc) -
+                           (std::uint64_t{1} << lo_vc));
+        return m ? std::countr_zero(m) : -1;
+    };
+    if (vc_[flat].ejecting) {
         for (int i = 0; i < nc; ++i) {
-            int vc = firstFree(cand[i], lo, hi);
+            int vc = firstFree(cand[i], 0, v - 1);
             if (vc >= 0) {
                 req_port = cand[i];
                 req_vc = vc;
@@ -449,65 +356,81 @@ Router::chooseVcRequest(int flat, Cycle now, int &req_port, int &req_vc)
         }
         return false;
     }
-
-    int best_port = -1, best_vc = -1, best_credits = -1;
-    auto consider = [&](int port, int vc) {
-        // Atomic VC buffers: require the downstream VC idle and empty.
-        int of = port * v + vc;
-        std::int32_t c = outCredits_[of];
-        if (outBusy_[of] || c < depth)
-            return;
-        if (c > best_credits) {
-            best_credits = c;
-            best_port = port;
-            best_vc = vc;
-        }
-    };
-
-    if (vc_[flat].ejecting) {
-        for (int i = 0; i < nc; ++i)
-            for (int vc = 0; vc < v; ++vc)
-                consider(cand[i], vc);
-    } else if (adaptive) {
+    if (adaptive) {
         if (wrap_) {
-            // Torus escape pair (see the uniform-credit path above).
+            // Torus escape discipline (Duato over the dateline
+            // subnetwork): the top two VCs form the escape pair, v-2
+            // for class 0 (wrap link ahead) and v-1 for class 1. The
+            // per-ring (position, class) order strictly increases
+            // along escape hops, so the escape subnetwork is
+            // cycle-free (DESIGN.md §17). Network asserts
+            // vcsPerPort >= 3 here.
             int esc = v - 2 + vc_[flat].cls;
             if (flat % v >= v - 2) {
-                // Escape input: stay on the dateline pair, XY only.
-                consider(cand[0], esc);
-            } else {
-                for (int i = 0; i < nc; ++i)
-                    for (int vc = 0; vc < v - 2; ++vc)
-                        consider(cand[i], vc);
-                if (best_port < 0) {
-                    // Blocked on all adaptive VCs: fall into escape.
-                    consider(cand[0], esc);
+                // Escape input: stay on the dateline pair, XY
+                // (candidate 0) only.
+                int vc = firstFree(cand[0], esc, esc);
+                if (vc < 0)
+                    return false;
+                req_port = cand[0];
+                req_vc = vc;
+                return true;
+            }
+            for (int i = 0; i < nc; ++i) {
+                int vc = firstFree(cand[i], 0, v - 3);
+                if (vc >= 0) {
+                    req_port = cand[i];
+                    req_vc = vc;
+                    return true;
                 }
             }
-        } else if (flat % v == escapeVc() && v > 1) {
+            // Blocked on all adaptive VCs: fall into escape.
+            int vc = firstFree(cand[0], esc, esc);
+            if (vc >= 0) {
+                req_port = cand[0];
+                req_vc = vc;
+                return true;
+            }
+            return false;
+        }
+        if (flat % v == escapeVc() && v > 1) {
             // Escape discipline: stay on the escape VC along XY.
-            consider(cand[0], escapeVc());
-        } else {
-            int adaptive_vcs = std::max(1, v - 1);
-            for (int i = 0; i < nc; ++i)
-                for (int vc = 0; vc < adaptive_vcs; ++vc)
-                    consider(cand[i], vc);
-            if (best_port < 0 && v > 1) {
-                // Blocked on all adaptive VCs: fall into escape.
-                consider(cand[0], escapeVc());
+            int vc = firstFree(cand[0], escapeVc(), escapeVc());
+            if (vc < 0)
+                return false;
+            req_port = cand[0];
+            req_vc = vc;
+            return true;
+        }
+        int adaptive_vcs = std::max(1, v - 1);
+        for (int i = 0; i < nc; ++i) {
+            int vc = firstFree(cand[i], 0, adaptive_vcs - 1);
+            if (vc >= 0) {
+                req_port = cand[i];
+                req_vc = vc;
+                return true;
             }
         }
-    } else {
-        for (int i = 0; i < nc; ++i)
-            for (int vc = lo; vc <= hi; ++vc)
-                consider(cand[i], vc);
-    }
-
-    if (best_port < 0)
+        if (v > 1) {
+            // Blocked on all adaptive VCs: fall into escape.
+            int vc = firstFree(cand[0], escapeVc(), escapeVc());
+            if (vc >= 0) {
+                req_port = cand[0];
+                req_vc = vc;
+                return true;
+            }
+        }
         return false;
-    req_port = best_port;
-    req_vc = best_vc;
-    return true;
+    }
+    for (int i = 0; i < nc; ++i) {
+        int vc = firstFree(cand[i], lo, hi);
+        if (vc >= 0) {
+            req_port = cand[i];
+            req_vc = vc;
+            return true;
+        }
+    }
+    return false;
 }
 
 void
@@ -548,7 +471,7 @@ Router::vcAllocStage(Cycle now)
         // transition park on vaBlocked_ instead of re-polling every
         // tick; a woken bit first credits the request ticks it would
         // have issued while parked (exhaustive-loop accounting).
-        bool park = uniformCredit_ && !params_->classVcs;
+        bool park = !params_->classVcs;
         std::uint64_t m = vaPending_;
         while (m != 0) {
             int flat = std::countr_zero(m);
@@ -830,59 +753,6 @@ Router::resetStats(Cycle now)
     }
 }
 
-void
-Router::syncInputPort(int i) const
-{
-    auto &ip = const_cast<Router *>(this)
-                   ->inputs_[static_cast<std::size_t>(i)];
-    int v = params_->vcsPerPort;
-    ip.flitsAccepted = inFlitsAccepted_[i];
-    for (int vi = 0; vi < v; ++vi) {
-        int flat = i * v + vi;
-        auto &vcb = ip.vcs[static_cast<std::size_t>(vi)];
-        vcb.state = vc_[flat].state;
-        if (vc_[flat].state == VcState::Active) {
-            vcb.outPort = vc_[flat].outPort;
-            vcb.outVc = vc_[flat].outFlat - vc_[flat].outPort * v;
-        } else {
-            vcb.outPort = -1;
-            vcb.outVc = -1;
-        }
-        vcb.routeCandidates.clear();
-        if (vc_[flat].state != VcState::Idle)
-            for (int c = 0; c < vc_[flat].candCount; ++c)
-                vcb.routeCandidates.push_back(vc_[flat].cand[c]);
-    }
-}
-
-void
-Router::syncOutputPort(int i) const
-{
-    auto &op = const_cast<Router *>(this)
-                   ->outputs_[static_cast<std::size_t>(i)];
-    int v = params_->vcsPerPort;
-    op.flitsSent = outFlitsSent_[i];
-    for (int vi = 0; vi < v; ++vi) {
-        auto &ovc = op.vcs[static_cast<std::size_t>(vi)];
-        ovc.credits = outCredits_[i * v + vi];
-        ovc.busy = outBusy_[i * v + vi] != 0;
-    }
-}
-
-const Router::InputPort &
-Router::inputPort(int i) const
-{
-    syncInputPort(i);
-    return inputs_[static_cast<std::size_t>(i)];
-}
-
-const Router::OutputPort &
-Router::outputPort(int i) const
-{
-    syncOutputPort(i);
-    return outputs_[static_cast<std::size_t>(i)];
-}
-
 bool
 Router::pipelineStateConsistent() const
 {
@@ -946,8 +816,7 @@ Router::pipelineStateConsistent() const
             return false;
         if (outBusy_[of] > 1)
             return false;
-        if (uniformCredit_ &&
-            ((freeOutVcs_ >> of) & 1) !=
+        if (((freeOutVcs_ >> of) & 1) !=
                 (!outBusy_[of] && outCredits_[of] == depth ? 1u : 0u))
             return false;
         // Every busy output VC is owned by exactly one Active input VC.

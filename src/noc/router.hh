@@ -14,6 +14,7 @@
 #define EQX_NOC_ROUTER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/stats.hh"
@@ -75,30 +76,17 @@ struct NetworkActivity
  *
  * All state the pipeline stages read or write lives in flat
  * struct-of-arrays members inside the Router object itself
- * (DESIGN.md §14); the InputPort/OutputPort structs are observability
- * views refreshed from the SoA state when an accessor is called, so
- * the hot path never touches them.
+ * (DESIGN.md §14). The const accessors below read that state directly
+ * for stats export and tests.
  */
 class Router
 {
   public:
-    struct InputPort
+    /** What a port connects to (stats labels). */
+    struct PortDesc
     {
         PortKind kind = PortKind::Geo;
         Dir dir = Dir::Local;          ///< for Geo: which neighbour side
-        std::vector<VcBuffer> vcs;     ///< view: state/route/grant only
-        Channel<Credit> *creditUp = nullptr; ///< credits back upstream
-        std::uint64_t flitsAccepted = 0; ///< flits received on this port
-    };
-
-    struct OutputPort
-    {
-        PortKind kind = PortKind::Geo;
-        Dir dir = Dir::Local;
-        std::vector<OutputVc> vcs;     ///< view: busy/credits
-        Channel<Flit> *out = nullptr;  ///< flits downstream
-        bool interposer = false;       ///< counts as interposer traversal
-        std::uint64_t flitsSent = 0;   ///< flits driven onto the link
     };
 
     /** Pending-VC bitmasks cover at most this many input VCs (and,
@@ -121,13 +109,62 @@ class Router
     /** Add ports during network construction; returns the port index. */
     int addInputPort(PortKind kind, Dir dir, Channel<Credit> *credit_up);
     int addOutputPort(PortKind kind, Dir dir, Channel<Flit> *out,
-                      int downstream_depth, bool interposer = false);
+                      bool interposer = false);
 
     int numInputPorts() const { return static_cast<int>(inputs_.size()); }
     int numOutputPorts() const { return static_cast<int>(outputs_.size()); }
-    /** Observability views; synced from the SoA state on access. */
-    const InputPort &inputPort(int i) const;
-    const OutputPort &outputPort(int i) const;
+    /** Port kind and direction, as wired. */
+    const PortDesc &
+    inputPort(int i) const
+    {
+        return inputs_[static_cast<std::size_t>(i)];
+    }
+    const PortDesc &
+    outputPort(int i) const
+    {
+        return outputs_[static_cast<std::size_t>(i)];
+    }
+
+    // Read-only accessors over the packed state (stats export, tests).
+    /** Flits received on input port @p i / sent on output port @p i. */
+    std::uint64_t flitsAccepted(int i) const { return inFlitsAccepted_[i]; }
+    std::uint64_t flitsSent(int i) const { return outFlitsSent_[i]; }
+    VcState
+    vcState(int in_port, int vc) const
+    {
+        return lane(in_port, vc).state;
+    }
+    /** Output ports route compute picked (empty while Idle). */
+    std::span<const std::int8_t>
+    candidatePorts(int in_port, int vc) const
+    {
+        const VcLane &l = lane(in_port, vc);
+        return {l.cand, l.candCount};
+    }
+    /** Granted output port / VC of an Active input VC (-1 otherwise). */
+    int
+    grantedOutPort(int in_port, int vc) const
+    {
+        return lane(in_port, vc).outPort;
+    }
+    int
+    grantedOutVc(int in_port, int vc) const
+    {
+        const VcLane &l = lane(in_port, vc);
+        return l.outFlat < 0 ? -1
+                             : l.outFlat - l.outPort * params_->vcsPerPort;
+    }
+    /** Downstream credits / busy flag of output VC (port, vc). */
+    int
+    outCredits(int out_port, int vc) const
+    {
+        return outCredits_[out_port * params_->vcsPerPort + vc];
+    }
+    bool
+    outBusy(int out_port, int vc) const
+    {
+        return outBusy_[out_port * params_->vcsPerPort + vc] != 0;
+    }
 
     /** Deliver a flit arriving on an input port (from a channel). */
     void acceptFlit(int in_port, Flit f, Cycle now);
@@ -274,26 +311,21 @@ class Router
     bool chooseVcRequest(int flat, Cycle now, int &req_port,
                          int &req_vc);
 
-    /** Refresh one observability view from the SoA state. */
-    void syncInputPort(int i) const;
-    void syncOutputPort(int i) const;
-
     NodeId id_;
     const Topology *topo_;
     const NocParams *params_;
     NetworkActivity *activity_;
     Coord coord_;
 
-    std::vector<InputPort> inputs_;
-    std::vector<OutputPort> outputs_;
+    std::vector<PortDesc> inputs_;
+    std::vector<PortDesc> outputs_;
     std::vector<int> ejPorts_;
 
     // ---- Packed pipeline state (DESIGN.md §14) ----
     // Everything the allocator stages touch per tick sits in flat,
     // cache-dense arrays — indexed by flat input-VC id
     // (port * vcsPerPort + vc) on the input side and flat output-VC id
-    // on the output side — plus one contiguous per-router flit store,
-    // instead of InputPort -> VcBuffer -> heap-ring pointer chases.
+    // on the output side — plus one contiguous per-router flit store.
     // Members are ordered hottest-first so one tick's working set per
     // router spans a handful of consecutive cache lines.
 
@@ -318,8 +350,8 @@ class Router
      * 0->1 transition of freeOutVcs_ on output port p wakes only the
      * parked bits registered in vaWaiters_[p] (spurious wakes
      * re-block with exact accounting). Only engaged when the success
-     * condition depends solely on freeOutVcs_ (uniformCredit_ and no
-     * class-window schedule); vaWoken_ marks bits whose skipped
+     * condition depends solely on freeOutVcs_ (no class-window
+     * schedule); vaWoken_ marks bits whose skipped
      * per-tick vaRequests_ ticks still need crediting when VA next
      * processes them.
      */
@@ -334,14 +366,12 @@ class Router
      * holds exactly `vcDepthFlits` credits, so "most credits, first in
      * scan order" — the VA tie-break — reduces to "lowest set bit in
      * the candidate window": chooseVcRequest() is a couple of mask ops
-     * instead of a per-candidate credit walk. Only valid while every
-     * output port was added with downstream depth == vcDepthFlits
-     * (uniformCredit_); otherwise the credit-compare loop is kept.
+     * instead of a per-candidate credit walk. Every output port's
+     * downstream buffer has the network's own vcDepthFlits.
      */
     std::uint64_t freeOutVcs_ = 0;
     /** Total flits currently buffered across all input VCs. */
     int bufferedFlits_ = 0;
-    bool uniformCredit_ = true;
 
     /**
      * All per-input-VC pipeline state, packed to one 16-byte record so
@@ -366,8 +396,14 @@ class Router
     static_assert(sizeof(VcLane) == 16, "VcLane must stay one half-line");
     VcLane vc_[kMaxInVcs] = {};
 
+    const VcLane &
+    lane(int in_port, int vc) const
+    {
+        return vc_[in_port * params_->vcsPerPort + vc];
+    }
+
     /** Downstream credits / busy per flat output VC (credits bounded
-     *  by the downstream depth, so a byte each keeps both arrays in
+     *  by vcDepthFlits <= 127, so a byte each keeps both arrays in
      *  one cache line apiece). */
     std::int8_t outCredits_[kMaxOutVcs] = {};
     std::uint8_t outBusy_[kMaxOutVcs] = {};
@@ -420,7 +456,7 @@ class Router
      *  upstream credit channel (SA send / credit-return paths). */
     Channel<Flit> *outChan_[kMaxOutPorts] = {};
     Channel<Credit> *creditUp_[kMaxInPorts] = {};
-    /** Per-port flit counters (exported via the port views). */
+    /** Per-port flit counters (flitsAccepted() / flitsSent()). */
     std::uint64_t inFlitsAccepted_[kMaxInPorts] = {};
     std::uint64_t outFlitsSent_[kMaxOutPorts] = {};
 

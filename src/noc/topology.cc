@@ -1,7 +1,5 @@
 #include "noc/topology.hh"
 
-#include <cctype>
-
 namespace eqx {
 
 namespace {
@@ -29,28 +27,6 @@ topologyKindName(TopologyKind k)
       case TopologyKind::CMesh: return "cmesh";
     }
     return "?";
-}
-
-bool
-parseTopologyKind(std::string_view s, TopologyKind &out)
-{
-    std::string low(s);
-    for (char &c : low)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    if (low == "mesh") {
-        out = TopologyKind::Mesh;
-        return true;
-    }
-    if (low == "torus") {
-        out = TopologyKind::Torus;
-        return true;
-    }
-    if (low == "cmesh") {
-        out = TopologyKind::CMesh;
-        return true;
-    }
-    return false;
 }
 
 int

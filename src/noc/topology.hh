@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -44,9 +43,6 @@ enum class TopologyKind : std::uint8_t { Mesh = 0, Torus = 1, CMesh = 2 };
 
 /** Canonical lowercase kind name ("mesh", "torus", "cmesh"). */
 const char *topologyKindName(TopologyKind k);
-
-/** Parse a case-insensitive kind name; false on an unknown key. */
-bool parseTopologyKind(std::string_view s, TopologyKind &out);
 
 /** The per-network topology knobs a scheme or config can set. */
 struct TopoSpec

@@ -134,20 +134,4 @@ schemeName(Scheme s)
     return SchemeRegistry::instance().byEnum(s).name();
 }
 
-std::vector<Scheme>
-allSchemes()
-{
-    std::vector<Scheme> out;
-    for (const SchemeModel *m : SchemeRegistry::instance().models())
-        if (auto e = m->legacyEnum())
-            out.push_back(*e);
-    return out;
-}
-
-bool
-isSingleNetwork(Scheme s)
-{
-    return SchemeRegistry::instance().byEnum(s).singleNetwork();
-}
-
 } // namespace eqx

@@ -36,10 +36,6 @@ enum class Scheme : std::uint8_t
 // Legacy scheme queries, answered by the SchemeRegistry
 // (src/schemes): every enum value maps to a registered SchemeModel.
 const char *schemeName(Scheme s);
-std::vector<Scheme> allSchemes();
-
-/** True for schemes with one shared physical network. */
-bool isSingleNetwork(Scheme s);
 
 /** Full-system configuration. */
 struct SystemConfig

@@ -284,62 +284,13 @@ TEST(Histogram, MergeAddsCounts)
     EXPECT_EQ(a.overflow(), 1u);
 }
 
-TEST(StatGroup, IncSetGet)
+TEST(StatGroup, SetGet)
 {
     StatGroup g;
     EXPECT_FALSE(g.has("x"));
-    g.inc("x");
-    g.inc("x", 2.5);
-    EXPECT_DOUBLE_EQ(g.get("x"), 3.5);
     g.set("x", 1.0);
     EXPECT_DOUBLE_EQ(g.get("x"), 1.0);
     EXPECT_DOUBLE_EQ(g.get("missing"), 0.0);
-}
-
-TEST(StatGroup, MergeAdds)
-{
-    StatGroup a, b;
-    a.inc("x", 1);
-    b.inc("x", 2);
-    b.inc("y", 5);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 3);
-    EXPECT_DOUBLE_EQ(a.get("y"), 5);
-}
-
-TEST(StatGroup, MergeEmptyEitherDirection)
-{
-    StatGroup full, empty;
-    full.inc("pkts", 12);
-    full.set("ipc", 0.75);
-
-    StatGroup copy = full;
-    copy.merge(empty); // empty-into-full: unchanged
-    EXPECT_DOUBLE_EQ(copy.get("pkts"), 12);
-    EXPECT_DOUBLE_EQ(copy.get("ipc"), 0.75);
-    EXPECT_EQ(copy.all().size(), full.all().size());
-
-    empty.merge(full); // full-into-empty: exact copy
-    EXPECT_DOUBLE_EQ(empty.get("pkts"), 12);
-    EXPECT_DOUBLE_EQ(empty.get("ipc"), 0.75);
-    EXPECT_EQ(empty.all().size(), full.all().size());
-}
-
-TEST(StatGroup, MergeCommutative)
-{
-    StatGroup a1, b1, a2, b2;
-    a1.inc("x", 1.5);
-    a1.inc("y", 2.0);
-    b1.inc("y", 3.0);
-    b1.inc("z", 4.25);
-    a2 = a1;
-    b2 = b1;
-
-    a1.merge(b1); // a ∪ b
-    b2.merge(a2); // b ∪ a
-    EXPECT_EQ(a1.all().size(), b2.all().size());
-    for (const auto &[k, v] : a1.all())
-        EXPECT_NEAR(v, b2.get(k), 1e-12) << k;
 }
 
 TEST(Geomean, Basics)

@@ -258,6 +258,16 @@ TEST(Network, TooSmallMeshRejected)
     EXPECT_THROW(Network net(spec), std::logic_error);
 }
 
+TEST(Network, VcDepthBeyondByteCreditsRejected)
+{
+    // Output-VC credit counters are a signed byte each.
+    NetworkSpec spec = meshSpec(4, 4);
+    spec.params.vcDepthFlits = 127;
+    EXPECT_NO_THROW(Network net(spec));
+    spec.params.vcDepthFlits = 128;
+    EXPECT_THROW(Network net(spec), std::logic_error);
+}
+
 TEST(Network, ExportStatsCoversRoutersPortsAndNis)
 {
     Network net(meshSpec(4, 4));

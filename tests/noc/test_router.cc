@@ -30,11 +30,9 @@ class RouterHarness : public ::testing::Test
         inPort = router->addInputPort(PortKind::Geo, Dir::West,
                                       inCredit.get());
         outPort = router->addOutputPort(PortKind::Geo, Dir::East,
-                                        outFlits.get(),
-                                        params.vcDepthFlits);
+                                        outFlits.get());
         ejPort = router->addOutputPort(PortKind::LocalEj, Dir::Local,
-                                       ejFlits.get(),
-                                       params.vcDepthFlits);
+                                       ejFlits.get());
     }
 
     /** Run one internal tick worth of stages. */
@@ -66,12 +64,7 @@ class RouterHarness : public ::testing::Test
         return pkt;
     }
 
-    const VcBuffer &
-    inVc(int vc) const
-    {
-        return router->inputPort(inPort).vcs[static_cast<std::size_t>(
-            vc)];
-    }
+    VcState state(int vc) const { return router->vcState(inPort, vc); }
 
     int
     drainOut(Channel<Flit> &ch)
@@ -98,17 +91,19 @@ TEST_F(RouterHarness, RcRoutesEjectionForLocalDest)
 {
     sendPacket(4 /*this node*/, 0);
     tick(); // RC
-    EXPECT_EQ(inVc(0).state, VcState::RouteComputed);
-    ASSERT_EQ(inVc(0).routeCandidates.size(), 1u);
-    EXPECT_EQ(inVc(0).routeCandidates[0], ejPort);
+    EXPECT_EQ(state(0), VcState::RouteComputed);
+    auto cands = router->candidatePorts(inPort, 0);
+    ASSERT_EQ(cands.size(), 1u);
+    EXPECT_EQ(cands[0], ejPort);
 }
 
 TEST_F(RouterHarness, RcRoutesEastForEastDest)
 {
     sendPacket(5 /*(2,1)*/, 0);
     tick();
-    ASSERT_FALSE(inVc(0).routeCandidates.empty());
-    EXPECT_EQ(inVc(0).routeCandidates[0], outPort);
+    auto cands = router->candidatePorts(inPort, 0);
+    ASSERT_FALSE(cands.empty());
+    EXPECT_EQ(cands[0], outPort);
 }
 
 TEST_F(RouterHarness, FullPipelineTraversesInThreeTicks)
@@ -116,10 +111,10 @@ TEST_F(RouterHarness, FullPipelineTraversesInThreeTicks)
     sendPacket(5, 0);
     tick(); // RC
     tick(); // VA
-    EXPECT_EQ(inVc(0).state, VcState::Active);
+    EXPECT_EQ(state(0), VcState::Active);
     tick(); // SA + ST: flit on the output channel
     EXPECT_EQ(drainOut(*outFlits), 1);
-    EXPECT_EQ(inVc(0).state, VcState::Idle); // tail released it
+    EXPECT_EQ(state(0), VcState::Idle); // tail released it
     EXPECT_EQ(router->flitsForwarded(), 1u);
 }
 
@@ -156,15 +151,15 @@ TEST_F(RouterHarness, AtomicVcSecondPacketWaitsForDownstreamDrain)
     sendPacket(5, 0, 3);
     tick();
     tick();
-    // out VC 0 and 1 both show fewer than full credits only while
-    // occupied; with no creditArrived calls the third packet can only
-    // be granted a VC whose credits are still full.
-    if (inVc(0).state == VcState::Active) {
-        EXPECT_EQ(router->outputPort(outPort)
-                      .vcs[static_cast<std::size_t>(inVc(0).outVc)]
-                      .busy,
-                  true);
+    // Both output VCs are released (tails sent) but hold only the
+    // credits of a partly drained downstream buffer, and only a VC
+    // with all its credits back may be granted: the third packet
+    // waits in VA.
+    for (int vc = 0; vc < 2; ++vc) {
+        EXPECT_FALSE(router->outBusy(outPort, vc));
+        EXPECT_EQ(router->outCredits(outPort, vc), params.vcDepthFlits - 3);
     }
+    EXPECT_EQ(state(0), VcState::RouteComputed);
 }
 
 TEST_F(RouterHarness, NoCreditsNoTraversal)
@@ -184,7 +179,7 @@ TEST_F(RouterHarness, NoCreditsNoTraversal)
     for (int i = 0; i < 12; ++i)
         tick();
     EXPECT_EQ(drainOut(*outFlits), 0); // fully out of credits
-    EXPECT_EQ(inVc(0).state, VcState::RouteComputed); // VA stalled
+    EXPECT_EQ(state(0), VcState::RouteComputed); // VA stalled
 
     // Return credits on VC 0: traffic resumes.
     for (int i = 0; i < 5; ++i)
@@ -202,9 +197,9 @@ TEST_F(RouterHarness, EscapeVcSticksToEscapeAndXy)
     sendPacket(5, 1); // east is also the XY direction here
     tick();
     tick();
-    EXPECT_EQ(inVc(1).state, VcState::Active);
-    EXPECT_EQ(inVc(1).outVc, 1);
-    EXPECT_EQ(inVc(1).outPort, outPort);
+    EXPECT_EQ(state(1), VcState::Active);
+    EXPECT_EQ(router->grantedOutVc(inPort, 1), 1);
+    EXPECT_EQ(router->grantedOutPort(inPort, 1), outPort);
 }
 
 TEST_F(RouterHarness, AdaptivePacketFallsIntoEscapeWhenBlocked)
@@ -220,8 +215,8 @@ TEST_F(RouterHarness, AdaptivePacketFallsIntoEscapeWhenBlocked)
     sendPacket(5, 0, 1);
     tick();
     tick();
-    EXPECT_EQ(inVc(0).state, VcState::Active);
-    EXPECT_EQ(inVc(0).outVc, 1);
+    EXPECT_EQ(state(0), VcState::Active);
+    EXPECT_EQ(router->grantedOutVc(inPort, 0), 1);
 }
 
 TEST_F(RouterHarness, ResidenceStatTracksBufferTime)

@@ -240,16 +240,10 @@ TEST(Topology, CMeshConcentratesTilesOntoRouterGrid)
 
 TEST(Topology, KindNamesRoundTripAndFactoryDispatches)
 {
-    for (TopologyKind k : {TopologyKind::Mesh, TopologyKind::Torus,
-                           TopologyKind::CMesh}) {
-        TopologyKind back;
-        ASSERT_TRUE(parseTopologyKind(topologyKindName(k), back));
-        EXPECT_EQ(back, k);
-    }
-    TopologyKind k;
-    EXPECT_TRUE(parseTopologyKind("TORUS", k)); // case-insensitive
-    EXPECT_EQ(k, TopologyKind::Torus);
-    EXPECT_FALSE(parseTopologyKind("hypercube", k));
+    // The digest hashes these names (config_serial.cc).
+    EXPECT_STREQ(topologyKindName(TopologyKind::Mesh), "mesh");
+    EXPECT_STREQ(topologyKindName(TopologyKind::Torus), "torus");
+    EXPECT_STREQ(topologyKindName(TopologyKind::CMesh), "cmesh");
 
     EXPECT_STREQ(makeTopology(8, 8)->name(), "mesh");
     EXPECT_STREQ(
