@@ -140,8 +140,11 @@ applyTrafficArgs(TrafficConfig &tc, const Config &cfg)
         tc.model = TrafficRegistry::instance().byName(model).name();
     tc.trace = cfg.getString("trace", tc.trace);
     tc.stormRatePerK = cfg.getDouble("storm_rate", tc.stormRatePerK);
-    tc.stormHorizon = static_cast<std::uint64_t>(cfg.getInt(
-        "storm_horizon", static_cast<long>(tc.stormHorizon)));
+    long horizon = cfg.getInt("storm_horizon",
+                              static_cast<long>(tc.stormHorizon));
+    if (horizon < 1) // before the cast, which would wrap a negative
+        eqx_fatal("storm_horizon must be >= 1 cycle, got ", horizon);
+    tc.stormHorizon = static_cast<std::uint64_t>(horizon);
     tc.stormQueueCap =
         static_cast<int>(cfg.getInt("storm_queue", tc.stormQueueCap));
     tc.stormTrough = cfg.getDouble("storm_trough", tc.stormTrough);

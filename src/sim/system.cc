@@ -188,16 +188,12 @@ System::maybeSkip()
 
     // One wheel epoch per consultation: every subsystem posts its
     // next due cycle. Components likeliest to have immediate work go
-    // first so a loaded system bails out after one query.
+    // first so a loaded system bails out after one query. Storm
+    // endpoints go last: they are due only at an arrival step or
+    // while a backlog waits, and there are many of them.
     wheel_.beginEpoch(cycle_);
     for (const auto &pe : pes_) {
         Cycle due = pe->nextDueCycle(cycle_);
-        if (due == cycle_ + 1)
-            return 0;
-        wheel_.post(due);
-    }
-    for (const auto &s : storms_) {
-        Cycle due = s->nextDueCycle(cycle_);
         if (due == cycle_ + 1)
             return 0;
         wheel_.post(due);
@@ -210,6 +206,12 @@ System::maybeSkip()
     }
     for (const auto &net : nets_) {
         Cycle due = net->nextDueCycle(cycle_);
+        if (due == cycle_ + 1)
+            return 0;
+        wheel_.post(due);
+    }
+    for (const auto &s : storms_) {
+        Cycle due = s->nextDueCycle(cycle_);
         if (due == cycle_ + 1)
             return 0;
         wheel_.post(due);

@@ -27,9 +27,6 @@ class TrafficSource
 
     /** Instructions left to issue. */
     virtual std::uint64_t remaining() const = 0;
-
-    /** Stream length (instructions). */
-    virtual std::uint64_t total() const = 0;
 };
 
 /** The legacy default: a PeTraceGen behind the source interface. */
@@ -40,7 +37,6 @@ class SyntheticSource final : public TrafficSource
 
     bool next(TraceOp &op) override { return gen_.next(op); }
     std::uint64_t remaining() const override { return gen_.remaining(); }
-    std::uint64_t total() const override { return gen_.total(); }
 
   private:
     PeTraceGen gen_;

@@ -119,7 +119,6 @@ class CaptureSource final : public TrafficSource
     }
 
     std::uint64_t remaining() const override { return inner_->remaining(); }
-    std::uint64_t total() const override { return inner_->total(); }
 
   private:
     std::unique_ptr<TrafficSource> inner_;
@@ -139,7 +138,6 @@ class ReplaySource final : public TrafficSource
 
     bool next(TraceOp &op) override;
     std::uint64_t remaining() const override { return remaining_; }
-    std::uint64_t total() const override { return t_->insts; }
 
   private:
     const PeTrace *t_;

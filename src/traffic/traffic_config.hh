@@ -31,10 +31,12 @@ struct TrafficConfig
     // ---- open-loop storm knobs (storm-* models) ----
 
     /** Peak offered load: packet arrivals per 1000 core cycles per
-     *  injector tile. The profile shapes rate(t) below this ceiling. */
+     *  injector tile. The profile shapes rate(t) below this ceiling.
+     *  Finite, in (0, kStormMaxRatePerK] (traffic/storm.hh). */
     double stormRatePerK = 64.0;
 
-    /** Cycles of arrival generation; the run then drains and ends. */
+    /** Cycles of arrival generation (>= 1); the run then drains and
+     *  ends. */
     std::uint64_t stormHorizon = 50'000;
 
     /** Per-tile backlog cap (packets); arrivals beyond it are dropped

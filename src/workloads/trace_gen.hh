@@ -41,7 +41,6 @@ class PeTraceGen
     bool next(TraceOp &op);
 
     std::uint64_t remaining() const { return remaining_; }
-    std::uint64_t total() const { return profile_.instsPerPe; }
 
   private:
     Addr privateBase() const;
