@@ -15,19 +15,26 @@
  *                   all through the accumulator
  *   mcts_search     one full MCTS run (all levels, default params),
  *                   reported as wall time and evaluations/second
+ *   design_flow     the default 16x16 mesh and torus designs, phase by
+ *                   phase: N-Queen placement, MCTS, polish (median
+ *                   milliseconds over repeated builds) and the
+ *                   evaluation count of buildEquiNoxDesign itself
  *
  * Arguments:
  *   out=<path>     output JSON (default BENCH_search_hotloop.json)
  *   min_time=<s>   minimum measured wall time per kernel (default 0.2)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
+#include "core/design_flow.hh"
 #include "core/eval_accumulator.hh"
 #include "core/nqueen.hh"
 #include "core/search.hh"
@@ -179,6 +186,79 @@ mctsKernel(ScaleSetup &s)
     return m;
 }
 
+struct DesignFlowResult
+{
+    double nqueenMs = 0;
+    double searchMs = 0;
+    double polishMs = 0;
+    std::uint64_t evaluations = 0;
+};
+
+double
+msSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+/**
+ * Time buildEquiNoxDesign's phases for the default design of @p topo
+ * at 16x16: the same calls in the same order, each timed. The phase
+ * replica must end in buildEquiNoxDesign's own design, which is
+ * checked on every run.
+ */
+DesignFlowResult
+designFlowKernel(const TopoSpec &topo, double min_time)
+{
+    DesignParams dp;
+    dp.width = dp.height = 16;
+    dp.topo = topo;
+    EquiNoxDesign ref = buildEquiNoxDesign(dp);
+
+    std::vector<double> nq, search, polish;
+    double elapsed = 0;
+    while (nq.size() < 3 || elapsed < min_time) {
+        auto t0 = Clock::now();
+        Rng rng(dp.seed);
+        ScoredPlacement sp = bestNQueenPlacement(dp.width, dp.numCbs, rng);
+        nq.push_back(msSince(t0));
+
+        auto t1 = Clock::now();
+        EirProblem prob(dp.width, dp.height, sp.cbs, dp.maxHops,
+                        dp.maxPerGroup, dp.topo);
+        EirEvaluator eval(&prob, dp.weights);
+        MctsParams mp = dp.mcts;
+        mp.seed = dp.seed;
+        SearchResult res = mctsSearch(prob, eval, mp);
+        search.push_back(msSince(t1));
+
+        auto t2 = Clock::now();
+        SearchResult pol = polishSelection(prob, eval, res.selection,
+                                           dp.polishPasses);
+        polish.push_back(msSince(t2));
+        elapsed += msSince(t0) * 1e-3;
+
+        eqx_assert(sp.cbs == ref.cbs && pol.selection == ref.eirGroups &&
+                       res.evaluations + pol.evaluations ==
+                           ref.evaluations,
+                   "design-flow phase replica diverged from "
+                   "buildEquiNoxDesign");
+    }
+    DesignFlowResult r;
+    r.nqueenMs = median(nq);
+    r.searchMs = median(search);
+    r.polishMs = median(polish);
+    r.evaluations = ref.evaluations;
+    return r;
+}
+
 } // namespace
 } // namespace eqx
 
@@ -212,6 +292,18 @@ main(int argc, char **argv)
         rows.push_back(std::move(r));
     }
 
+    struct FlowRow
+    {
+        std::string name;
+        DesignFlowResult r;
+    };
+    std::vector<FlowRow> flows;
+    TopoSpec torus;
+    torus.kind = TopologyKind::Torus;
+    flows.push_back({"design_flow_16x16", designFlowKernel({}, min_time)});
+    flows.push_back(
+        {"design_flow_torus_16x16", designFlowKernel(torus, min_time)});
+
     std::printf("%-10s %16s %16s %9s %12s %12s\n", "scale",
                 "scratch ns/eval", "incr ns/step", "speedup",
                 "mcts wall_ms", "mcts evals/s");
@@ -220,6 +312,13 @@ main(int argc, char **argv)
                     r.scale.c_str(), r.scratchNs, r.incrNs,
                     r.scratchNs / r.incrNs, r.mcts.wallMs,
                     r.mcts.evalsPerSec);
+    std::printf("\n%-24s %10s %10s %10s %12s\n", "design flow",
+                "nqueen ms", "mcts ms", "polish ms", "evaluations");
+    for (const auto &fl : flows)
+        std::printf("%-24s %10.1f %10.1f %10.1f %12llu\n",
+                    fl.name.c_str(), fl.r.nqueenMs, fl.r.searchMs,
+                    fl.r.polishMs,
+                    static_cast<unsigned long long>(fl.r.evaluations));
 
     std::FILE *f = std::fopen(out.c_str(), "w");
     if (!f) {
@@ -247,8 +346,20 @@ main(int argc, char **argv)
                      r.scale.c_str(), r.mcts.wallMs,
                      static_cast<unsigned long long>(
                          r.mcts.evaluations),
-                     r.mcts.evalsPerSec,
-                     i + 1 < rows.size() ? "," : "");
+                     r.mcts.evalsPerSec, ",");
+    }
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+        const auto &fl = flows[i];
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", "
+                     "\"nqueen_ms\": %.1f, "
+                     "\"search_ms\": %.1f, "
+                     "\"polish_ms\": %.1f, "
+                     "\"evaluations\": %llu}%s\n",
+                     fl.name.c_str(), fl.r.nqueenMs, fl.r.searchMs,
+                     fl.r.polishMs,
+                     static_cast<unsigned long long>(fl.r.evaluations),
+                     i + 1 < flows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -126,36 +126,56 @@ segmentLength(const Segment &s)
     return std::sqrt(dx * dx + dy * dy);
 }
 
+CrossingTable::CrossingTable(const std::vector<Segment> &segs)
+    : n_(segs.size()), words_((segs.size() + 63) / 64),
+      bits_(n_ * words_, 0)
+{
+    for (std::size_t i = 0; i < n_; ++i) {
+        for (std::size_t j = i; j < n_; ++j) {
+            if (!segmentsCross(segs[i], segs[j]))
+                continue;
+            bits_[i * words_ + j / 64] |= std::uint64_t{1} << (j % 64);
+            bits_[j * words_ + i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+    }
+}
+
+CrossingLedger::CrossingLedger(const CrossingTable *table) : table_(table)
+{
+    eqx_assert(table_, "ledger needs a crossing table");
+}
+
 int
-CrossingLedger::against(int slot, const std::vector<Segment> &segs) const
+CrossingLedger::crossingsOf(int slot,
+                            const std::vector<std::uint16_t> &ids) const
 {
     int n = 0;
     for (std::size_t o = 0; o < slots_.size(); ++o) {
         if (static_cast<int>(o) == slot)
             continue;
-        for (const auto &other : slots_[o])
-            for (const auto &s : segs)
-                if (segmentsCross(s, other))
-                    ++n;
+        for (std::uint16_t other : slots_[o])
+            for (std::uint16_t id : ids)
+                n += table_->crosses(id, other);
     }
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        for (std::size_t j = i + 1; j < ids.size(); ++j)
+            n += table_->crosses(ids[i], ids[j]);
     return n;
 }
 
 void
-CrossingLedger::add(int slot, std::vector<Segment> segs)
+CrossingLedger::add(int slot, const std::vector<std::uint16_t> &ids)
 {
     eqx_assert(slot >= 0, "ledger slot must be non-negative");
     if (static_cast<std::size_t>(slot) >= slots_.size())
         slots_.resize(static_cast<std::size_t>(slot) + 1);
     auto &dst = slots_[static_cast<std::size_t>(slot)];
     eqx_assert(dst.empty(), "ledger slot already occupied");
-    count_ += against(slot, segs);
-    for (std::size_t i = 0; i < segs.size(); ++i)
-        for (std::size_t j = i + 1; j < segs.size(); ++j)
-            if (segmentsCross(segs[i], segs[j]))
-                ++count_;
-    total_ += segs.size();
-    dst = std::move(segs);
+    for (std::uint16_t id : ids)
+        eqx_assert(id < table_->size(), "segment outside the table");
+    count_ += crossingsOf(slot, ids);
+    total_ += ids.size();
+    dst.assign(ids.begin(), ids.end());
 }
 
 void
@@ -164,14 +184,10 @@ CrossingLedger::remove(int slot)
     eqx_assert(slot >= 0 &&
                    static_cast<std::size_t>(slot) < slots_.size(),
                "removing an unknown ledger slot");
-    auto &segs = slots_[static_cast<std::size_t>(slot)];
-    count_ -= against(slot, segs);
-    for (std::size_t i = 0; i < segs.size(); ++i)
-        for (std::size_t j = i + 1; j < segs.size(); ++j)
-            if (segmentsCross(segs[i], segs[j]))
-                --count_;
-    total_ -= segs.size();
-    segs.clear();
+    auto &ids = slots_[static_cast<std::size_t>(slot)];
+    count_ -= crossingsOf(slot, ids);
+    total_ -= ids.size();
+    ids.clear();
     eqx_assert(count_ >= 0, "ledger crossing count went negative");
 }
 

@@ -55,22 +55,54 @@ int rdlLayersNeeded(const std::vector<Segment> &segs);
 double segmentLength(const Segment &s);
 
 /**
+ * segmentsCross over every ordered pair (i == j included) of a fixed
+ * segment list, as a bit matrix built once: crosses(i, j) is then one
+ * load and a mask.
+ */
+class CrossingTable
+{
+  public:
+    CrossingTable() = default;
+    explicit CrossingTable(const std::vector<Segment> &segs);
+
+    std::size_t size() const { return n_; }
+
+    /** segmentsCross(segs[i], segs[j]). */
+    bool
+    crosses(std::size_t i, std::size_t j) const
+    {
+        return (bits_[i * words_ + j / 64] >> (j % 64)) & 1U;
+    }
+
+  private:
+    std::size_t n_ = 0;
+    std::size_t words_ = 0; ///< 64-bit words per row
+    std::vector<std::uint64_t> bits_;
+};
+
+/**
  * Incrementally maintained pairwise crossing count over slot-grouped
- * segments. Adding a slot's segments costs O(new x existing) cross
- * tests instead of recounting all pairs; removing a slot subtracts
- * exactly what its addition contributed, so the running count always
- * equals countCrossings() over the union of the present segments
- * (same segmentsCross predicate, integer arithmetic, no drift).
+ * segments, named by their index in a CrossingTable. Adding a slot's
+ * segments costs O(new x existing) table lookups instead of
+ * recounting all pairs; removing a slot subtracts exactly what its
+ * addition contributed, so the running count always equals
+ * countCrossings() over the union of the present segments (the table
+ * holds the same segmentsCross predicate, integer arithmetic, no
+ * drift).
  */
 class CrossingLedger
 {
   public:
+    explicit CrossingLedger(const CrossingTable *table);
+
     /**
-     * Install @p segs as slot @p slot (which must currently be empty)
-     * and add their crossings with every present segment — including
-     * the pairs internal to @p segs — to the running count.
+     * Install the segments @p ids as slot @p slot (which must
+     * currently be empty) and add their crossings with every present
+     * segment — including the pairs internal to @p ids — to the
+     * running count. The slot keeps its vector's capacity across
+     * remove()/add(), so a ledger in steady state does not allocate.
      */
-    void add(int slot, std::vector<Segment> segs);
+    void add(int slot, const std::vector<std::uint16_t> &ids);
 
     /** Remove slot @p slot's segments and their crossings. */
     void remove(int slot);
@@ -82,10 +114,11 @@ class CrossingLedger
     std::size_t size() const { return total_; }
 
   private:
-    /** Crossings between @p segs and every *other* slot's segments. */
-    int against(int slot, const std::vector<Segment> &segs) const;
+    /** Crossings of @p ids with every other slot's and among themselves. */
+    int crossingsOf(int slot, const std::vector<std::uint16_t> &ids) const;
 
-    std::vector<std::vector<Segment>> slots_;
+    const CrossingTable *table_;
+    std::vector<std::vector<std::uint16_t>> slots_;
     std::size_t total_ = 0;
     int count_ = 0;
 };

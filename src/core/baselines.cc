@@ -94,9 +94,8 @@ greedySearch(const EirProblem &prob, const EirEvaluator &eval,
     result.method = "greedy";
     EvalAccumulator acc(&eval);
     for (int cb = 0; cb < prob.numCbs(); ++cb) {
-        auto groups = prob.groupsFor(cb, acc.takenMask());
-        if (groups.size() > max_groups_per_cb)
-            groups.resize(max_groups_per_cb);
+        auto groups =
+            prob.groupsFor(cb, acc.takenMask(), max_groups_per_cb);
         double best_score = 0;
         std::size_t best_idx = 0;
         for (std::size_t i = 0; i < groups.size(); ++i) {
@@ -140,9 +139,8 @@ polishSelection(const EirProblem &prob, const EirEvaluator &eval,
             // Free this CB's group, then best-respond.
             std::vector<Coord> best_group = acc.group(cb);
             acc.setGroup(cb, {});
-            auto groups = prob.groupsFor(cb, acc.takenMask());
-            if (groups.size() > max_groups_per_cb)
-                groups.resize(max_groups_per_cb);
+            auto groups =
+                prob.groupsFor(cb, acc.takenMask(), max_groups_per_cb);
             for (auto &g : groups) {
                 acc.setGroup(cb, std::move(g));
                 double s = acc.score();

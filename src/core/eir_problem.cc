@@ -4,6 +4,7 @@
 #include <array>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "core/hotzone.hh"
@@ -37,12 +38,21 @@ EirProblem::EirProblem(int width, int height, std::vector<Coord> cbs,
     eqx_assert(maxPerGroup_ >= 1 && maxPerGroup_ <= 8,
                "group size must be within 1..8");
     candidates_.resize(cbs_.size());
+    octantCands_.resize(cbs_.size() * 8);
     for (int i = 0; i < numCbs(); ++i) {
+        auto &cands = candidates_[static_cast<std::size_t>(i)];
         for (int y = 0; y < h_; ++y) {
             for (int x = 0; x < w_; ++x) {
                 Coord c{x, y};
-                if (legalEir(i, c))
-                    candidates_[static_cast<std::size_t>(i)].push_back(c);
+                if (!legalEir(i, c))
+                    continue;
+                eqx_assert(cands.size() < 0xffff,
+                           "too many EIR candidates for one CB");
+                int oct = directionOctant(
+                    cbs_[static_cast<std::size_t>(i)], c);
+                octantCands_[static_cast<std::size_t>(i * 8 + oct)]
+                    .push_back(static_cast<std::uint16_t>(cands.size()));
+                cands.push_back(c);
             }
         }
     }
@@ -83,44 +93,45 @@ EirProblem::groupsFor(int cb_idx, const std::vector<Coord> &taken) const
 }
 
 std::vector<std::vector<Coord>>
-EirProblem::groupsFor(int cb_idx, const TileMask &taken) const
+EirProblem::groupsFor(int cb_idx, const TileMask &taken, std::size_t keep,
+                      Rng *shuffle) const
 {
-    const Coord &cb = cbs_[static_cast<std::size_t>(cb_idx)];
+    const auto &cands = candidates(cb_idx);
 
     // Bucket the free candidates by direction octant; axes first so
     // that enumeration favours the axis placements the paper's design
     // converges to.
-    std::vector<std::vector<Coord>> byOctant(8);
-    for (const auto &c : candidates(cb_idx)) {
-        if (taken.test(c))
-            continue;
-        byOctant[static_cast<std::size_t>(directionOctant(cb, c))]
-            .push_back(c);
-    }
     const std::array<int, 8> octant_order{{0, 2, 4, 6, 1, 3, 5, 7}};
+    std::array<std::size_t, 9> bucket{};
+    freeCands_.clear();
+    for (std::size_t oi = 0; oi < 8; ++oi) {
+        bucket[oi] = freeCands_.size();
+        for (std::uint16_t ci : octantCandidates(cb_idx, octant_order[oi]))
+            if (!taken.test(cands[ci]))
+                freeCands_.push_back(ci);
+    }
+    bucket[8] = freeCands_.size();
 
-    std::vector<std::vector<Coord>> groups;
     constexpr std::size_t kMaxGroups = 8192;
-    std::vector<Coord> cur;
+    enumerated_.clear();
+    GroupSlots cur;
 
     // Depth-first over octants in preference order; at each octant
     // either skip it or take one of its candidates.
-    auto rec = [&](auto &&self, int oi) -> void {
-        if (groups.size() >= kMaxGroups)
+    auto rec = [&](auto &&self, std::size_t oi) -> void {
+        if (enumerated_.size() >= kMaxGroups)
             return;
         if (oi == 8) {
-            if (!cur.empty())
-                groups.push_back(cur);
+            if (cur.size != 0)
+                enumerated_.push_back(cur);
             return;
         }
-        int oct = octant_order[static_cast<std::size_t>(oi)];
-        if (static_cast<int>(cur.size()) < maxPerGroup_) {
-            for (const auto &c :
-                 byOctant[static_cast<std::size_t>(oct)]) {
-                cur.push_back(c);
+        if (cur.size < maxPerGroup_) {
+            for (std::size_t k = bucket[oi]; k < bucket[oi + 1]; ++k) {
+                cur.tile[cur.size++] = freeCands_[k];
                 self(self, oi + 1);
-                cur.pop_back();
-                if (groups.size() >= kMaxGroups)
+                --cur.size;
+                if (enumerated_.size() >= kMaxGroups)
                     return;
             }
         }
@@ -129,11 +140,30 @@ EirProblem::groupsFor(int cb_idx, const TileMask &taken) const
     rec(rec, 0);
 
     // Larger groups first: more injection equivalents is the point.
-    std::stable_sort(groups.begin(), groups.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.size() > b.size();
-                     });
-    groups.emplace_back(); // the empty fallback group
+    // A counting sort by size gives the stable order std::stable_sort
+    // gave, as a permutation of the enumerated groups.
+    std::array<std::uint16_t, 9> at{};
+    for (const auto &g : enumerated_)
+        ++at[static_cast<std::size_t>(8 - g.size)];
+    for (std::uint16_t k = 0, sum = 0; k < at.size(); ++k)
+        sum = static_cast<std::uint16_t>(sum + std::exchange(at[k], sum));
+    enumerated_.emplace_back(); // the empty fallback group, last
+    order_.resize(enumerated_.size());
+    for (std::size_t i = 0; i + 1 < enumerated_.size(); ++i)
+        order_[at[static_cast<std::size_t>(8 - enumerated_[i].size)]++] =
+            static_cast<std::uint16_t>(i);
+    order_.back() = static_cast<std::uint16_t>(enumerated_.size() - 1);
+
+    if (shuffle)
+        shuffle->shuffle(order_);
+    std::size_t n = std::min(keep, order_.size());
+    std::vector<std::vector<Coord>> groups(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const GroupSlots &g = enumerated_[order_[i]];
+        groups[i].reserve(g.size);
+        for (std::size_t k = 0; k < g.size; ++k)
+            groups[i].push_back(cands[g.tile[k]]);
+    }
     return groups;
 }
 

@@ -17,9 +17,12 @@
 #ifndef EQX_CORE_EIR_PROBLEM_HH
 #define EQX_CORE_EIR_PROBLEM_HH
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/tile_mask.hh"
 #include "common/types.hh"
 #include "interposer/link_plan.hh"
@@ -33,10 +36,19 @@ using EirSelection = std::vector<std::vector<Coord>>;
 /** Relative-direction octant of @p to as seen from @p from (0..7). */
 int directionOctant(const Coord &from, const Coord &to);
 
-/** Problem instance: mesh, placement and structural limits. */
+/**
+ * Problem instance: mesh, placement and structural limits.
+ *
+ * Not thread-safe: groupsFor() enumerates into scratch buffers the
+ * problem owns, like EirEvaluator's memo. Give each worker its own
+ * problem (as the design flow already does).
+ */
 class EirProblem
 {
   public:
+    /** groupsFor()'s default: keep every enumerated group. */
+    static constexpr std::size_t kAllGroups = static_cast<std::size_t>(-1);
+
     EirProblem(int width, int height, std::vector<Coord> cbs,
                int max_hops = 3, int max_per_group = 4,
                const TopoSpec &topo = {});
@@ -67,15 +79,30 @@ class EirProblem
     const std::vector<Coord> &candidates(int cb_idx) const;
 
     /**
+     * Indices into candidates(@p cb_idx) of the candidates in
+     * direction octant @p oct (0..7), in candidate order.
+     */
+    const std::vector<std::uint16_t> &
+    octantCandidates(int cb_idx, int oct) const
+    {
+        return octantCands_[static_cast<std::size_t>(cb_idx * 8 + oct)];
+    }
+
+    /**
      * Enumerate legal groups for CB @p cb_idx, excluding tiles already
-     * taken by other groups. Groups satisfy the octant and size rules;
-     * the empty group is included last as a fallback (a CB may end up
-     * with no EIR near a crowded boundary). The mask overload is the
-     * hot-loop form; the vector overload flattens into a mask and
-     * enumerates the identical group sequence.
+     * taken by other groups. Groups satisfy the octant and size rules,
+     * larger groups first (stable); the empty group is included last
+     * as a fallback (a CB may end up with no EIR near a crowded
+     * boundary). With @p shuffle, the whole sequence is then permuted
+     * by shuffle->shuffle() — the same draws and swaps as shuffling
+     * the returned vector — and only the first @p keep groups are
+     * materialized. The mask overload is the hot-loop form; the vector
+     * overload flattens into a mask and enumerates the identical
+     * group sequence.
      */
     std::vector<std::vector<Coord>>
-    groupsFor(int cb_idx, const TileMask &taken) const;
+    groupsFor(int cb_idx, const TileMask &taken,
+              std::size_t keep = kAllGroups, Rng *shuffle = nullptr) const;
     std::vector<std::vector<Coord>>
     groupsFor(int cb_idx, const std::vector<Coord> &taken) const;
 
@@ -86,6 +113,13 @@ class EirProblem
     LinkPlan linkPlan(const EirSelection &sel, int width_bits = 128) const;
 
   private:
+    /** A group as a fixed-capacity value: indices into candidates(). */
+    struct GroupSlots
+    {
+        std::array<std::uint16_t, 8> tile{};
+        std::uint8_t size = 0;
+    };
+
     bool legalEir(int cb_idx, const Coord &c) const;
 
     int w_;
@@ -95,6 +129,13 @@ class EirProblem
     int maxHops_;
     int maxPerGroup_;
     std::vector<std::vector<Coord>> candidates_;
+    std::vector<std::vector<std::uint16_t>> octantCands_; ///< [cb * 8 + oct]
+
+    // groupsFor() scratch, reused across calls: free candidates per
+    // octant, groups in enumeration order, and their output order.
+    mutable std::vector<std::uint16_t> freeCands_;
+    mutable std::vector<GroupSlots> enumerated_;
+    mutable std::vector<std::uint16_t> order_;
 };
 
 } // namespace eqx

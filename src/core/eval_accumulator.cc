@@ -14,11 +14,12 @@ EvalAccumulator::EvalAccumulator(const EirEvaluator *eval)
     : eval_(eval), w_(eval->problem()->width()),
       h_(eval->problem()->height()),
       load_(static_cast<std::size_t>(w_ * h_), 0.0),
-      loadCount_(static_cast<std::size_t>(w_ * h_), 0), taken_(w_, h_)
+      loadCount_(static_cast<std::size_t>(w_ * h_), 0),
+      ledger_(&eval->crossingTable()), taken_(w_, h_)
 {
     eqx_assert(eval_, "accumulator needs an evaluator");
     int num_cbs = eval_->problem()->numCbs();
-    groups_.reserve(static_cast<std::size_t>(num_cbs));
+    groups_.resize(static_cast<std::size_t>(num_cbs));
     // Baseline: every CB undecided, carrying its all-local (empty
     // group) contribution.
     for (int cb = 0; cb < num_cbs; ++cb)
@@ -41,9 +42,9 @@ EvalAccumulator::apply(int cb_idx, const EvalContribution &c)
     }
     hopSum_ += c.hopSum;
     hopWeight_ += c.hopWeight;
-    ledger_.add(cb_idx, c.links);
+    ledger_.add(cb_idx, c.linkIds);
     lengthHops_ += c.lengthHops;
-    numLinks_ += c.links.size();
+    numLinks_ += c.linkIds.size();
     overReach_ += c.overReach;
 }
 
@@ -72,14 +73,14 @@ EvalAccumulator::unapply(int cb_idx, const EvalContribution &c)
     hopWeight_ -= c.hopWeight;
     ledger_.remove(cb_idx);
     lengthHops_ -= c.lengthHops;
-    numLinks_ -= c.links.size();
+    numLinks_ -= c.linkIds.size();
     overReach_ -= c.overReach;
 }
 
 void
-EvalAccumulator::push(int cb_idx, std::vector<Coord> group)
+EvalAccumulator::push(int cb_idx, const std::vector<Coord> &group)
 {
-    eqx_assert(cb_idx == static_cast<int>(groups_.size()),
+    eqx_assert(cb_idx == static_cast<int>(depth_),
                "push must decide the next CB in order");
     eqx_assert(cb_idx < eval_->problem()->numCbs(),
                "push past the last CB");
@@ -87,27 +88,26 @@ EvalAccumulator::push(int cb_idx, std::vector<Coord> group)
     apply(cb_idx, eval_->contribution(cb_idx, group));
     for (const auto &t : group)
         taken_.add(t);
-    groups_.push_back(std::move(group));
+    groups_[depth_++].assign(group.begin(), group.end());
 }
 
 void
 EvalAccumulator::pop()
 {
-    eqx_assert(!groups_.empty(), "pop on an empty accumulator");
-    int cb_idx = static_cast<int>(groups_.size()) - 1;
-    const auto &group = groups_.back();
+    eqx_assert(depth_ > 0, "pop on an empty accumulator");
+    int cb_idx = static_cast<int>(--depth_);
+    auto &group = groups_[depth_];
     unapply(cb_idx, eval_->contribution(cb_idx, group));
     apply(cb_idx, eval_->contribution(cb_idx, kEmptyGroup));
     for (const auto &t : group)
         taken_.remove(t);
-    groups_.pop_back();
+    group.clear();
 }
 
 void
-EvalAccumulator::setGroup(int cb_idx, std::vector<Coord> group)
+EvalAccumulator::setGroup(int cb_idx, const std::vector<Coord> &group)
 {
-    eqx_assert(cb_idx >= 0 &&
-                   cb_idx < static_cast<int>(groups_.size()),
+    eqx_assert(cb_idx >= 0 && cb_idx < static_cast<int>(depth_),
                "setGroup on an undecided CB");
     auto &cur = groups_[static_cast<std::size_t>(cb_idx)];
     if (cur == group)
@@ -118,13 +118,13 @@ EvalAccumulator::setGroup(int cb_idx, std::vector<Coord> group)
     apply(cb_idx, eval_->contribution(cb_idx, group));
     for (const auto &t : group)
         taken_.add(t);
-    cur = std::move(group);
+    cur.assign(group.begin(), group.end());
 }
 
 void
 EvalAccumulator::reset()
 {
-    while (!groups_.empty())
+    while (depth_ > 0)
         pop();
 }
 

@@ -52,19 +52,19 @@ class EvalAccumulator
     explicit EvalAccumulator(const EirEvaluator *eval);
 
     /** Decide the next CB (cb_idx must equal depth()). */
-    void push(int cb_idx, std::vector<Coord> group);
+    void push(int cb_idx, const std::vector<Coord> &group);
 
     /** Undo the most recent push (or the most recent commit level). */
     void pop();
 
     /** Replace decided CB @p cb_idx's group in place. */
-    void setGroup(int cb_idx, std::vector<Coord> group);
+    void setGroup(int cb_idx, const std::vector<Coord> &group);
 
     /** Retract every decision. */
     void reset();
 
     /** Number of decided CBs (always a prefix of the CB order). */
-    std::size_t depth() const { return groups_.size(); }
+    std::size_t depth() const { return depth_; }
 
     /** Decided CB @p cb_idx's current group. */
     const std::vector<Coord> &
@@ -74,7 +74,13 @@ class EvalAccumulator
     }
 
     /** The decided prefix as a selection (copies the groups). */
-    EirSelection selection() const { return groups_; }
+    EirSelection
+    selection() const
+    {
+        return EirSelection(groups_.begin(),
+                            groups_.begin() +
+                                static_cast<std::ptrdiff_t>(depth_));
+    }
 
     /**
      * Tiles taken by the decided groups (not the CBs themselves) —
@@ -101,7 +107,11 @@ class EvalAccumulator
     int w_;
     int h_;
 
-    EirSelection groups_; ///< decided prefix
+    // One group per CB; the first depth_ are the decided prefix. The
+    // rest keep their capacity, so push/pop/setGroup copy a group
+    // into storage that is already there instead of allocating.
+    EirSelection groups_;
+    std::size_t depth_ = 0;
 
     // Per-tile injection loads, grid-indexed, plus the row-major
     // sorted index list of loaded tiles. Row-major order is exactly

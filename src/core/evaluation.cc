@@ -1,6 +1,7 @@
 #include "core/evaluation.hh"
 
 #include <algorithm>
+#include <array>
 #include <map>
 
 #include "common/logging.hh"
@@ -36,6 +37,31 @@ EirEvaluator::EirEvaluator(const EirProblem *problem, EvalWeights weights)
         }
     }
 
+    // Per-axis hop tables. Every reply fabric's distance is the sum of
+    // an x-axis and a y-axis term (Manhattan on the mesh, per-ring
+    // minima on the torus, router-grid Manhattan on a concentrated
+    // grid); the assert keeps a future topology honest.
+    axisX_.resize(static_cast<std::size_t>(w_ * w_));
+    axisY_.resize(static_cast<std::size_t>(h_ * h_));
+    for (int a = 0; a < w_; ++a)
+        for (int b = 0; b < w_; ++b)
+            axisX_[static_cast<std::size_t>(a * w_ + b)] =
+                prob_->distance({a, 0}, {b, 0});
+    for (int a = 0; a < h_; ++a)
+        for (int b = 0; b < h_; ++b)
+            axisY_[static_cast<std::size_t>(a * h_ + b)] =
+                prob_->distance({0, a}, {0, b});
+    for (int ay = 0; ay < h_; ++ay)
+        for (int ax = 0; ax < w_; ++ax)
+            for (int by = 0; by < h_; ++by)
+                for (int bx = 0; bx < w_; ++bx)
+                    eqx_assert(
+                        prob_->distance({ax, ay}, {bx, by}) ==
+                            axisX_[static_cast<std::size_t>(ax * w_ + bx)] +
+                                axisY_[static_cast<std::size_t>(ay * h_ +
+                                                                by)],
+                        "reply-fabric distance is not a per-axis sum");
+
     // References from the EIR-less baseline.
     double dist_sum = 0;
     int pairs = 0;
@@ -54,6 +80,29 @@ EirEvaluator::EirEvaluator(const EirProblem *problem, EvalWeights weights)
     loadRef_ = prob_->numCbs()
                    ? static_cast<double>(pairs) / prob_->numCbs()
                    : 1.0;
+
+    // Number every candidate link and tabulate which pairs cross.
+    constexpr std::uint16_t kNoLink = 0xffff;
+    std::vector<Segment> cand_links;
+    linkId_.assign(static_cast<std::size_t>(prob_->numCbs() * w_ * h_),
+                   kNoLink);
+    for (int cb = 0; cb < prob_->numCbs(); ++cb) {
+        const Coord &c = prob_->cbs()[static_cast<std::size_t>(cb)];
+        for (const Coord &e : prob_->candidates(cb)) {
+            eqx_assert(cand_links.size() < kNoLink,
+                       "too many candidate links");
+            linkId_[static_cast<std::size_t>((cb * h_ + e.y) * w_ + e.x)] =
+                static_cast<std::uint16_t>(cand_links.size());
+            cand_links.push_back(Segment{c, e});
+        }
+    }
+    crossTable_ = CrossingTable(cand_links);
+
+    // Every accumulator push and pop swaps a CB's all-local (empty
+    // group) contribution in or out; serve those from a per-CB array.
+    local_.resize(static_cast<std::size_t>(prob_->numCbs()));
+    for (int cb = 0; cb < prob_->numCbs(); ++cb)
+        computeContribution(cb, {}, local_[static_cast<std::size_t>(cb)]);
 }
 
 EvalBreakdown
@@ -180,80 +229,97 @@ EirEvaluator::computeContribution(int cb_idx,
     out.loads.clear();
     out.hopSum = 0.0;
     out.hopWeight = 0.0;
-    out.links.clear();
+    out.linkIds.clear();
     out.lengthHops = 0.0;
     out.overReach = 0;
 
     const Coord &cb = prob_->cbs()[static_cast<std::size_t>(cb_idx)];
+    constexpr std::size_t kMaxGroup = 8;
+    eqx_assert(group.size() <= kMaxGroup, "group larger than 8 tiles");
+    const std::size_t n_group = group.size();
 
-    // One load slot per group tile plus one for the CB itself; only
-    // slots that actually receive flow survive into out.loads, so the
-    // combined per-tile map has exactly the entries the from-scratch
-    // std::map would (the entry count feeds the mean-load divisor).
-    std::vector<EvalContribution::TileLoad> slots(group.size() + 1);
-    for (std::size_t g = 0; g < group.size(); ++g)
+    // One load slot per group tile plus one for the CB itself (the
+    // last); only slots that actually receive flow survive into
+    // out.loads, so the combined per-tile map has exactly the entries
+    // the from-scratch std::map would (the entry count feeds the
+    // mean-load divisor).
+    std::array<EvalContribution::TileLoad, kMaxGroup + 1> slots{};
+    EvalContribution::TileLoad &local = slots[n_group];
+    local.tile = cb;
+
+    // Table rows: distance(u, p) == ux[p.x] + uy[p.y].
+    auto rowX = [this](int x) {
+        return axisX_.data() + static_cast<std::size_t>(x * w_);
+    };
+    auto rowY = [this](int y) {
+        return axisY_.data() + static_cast<std::size_t>(y * h_);
+    };
+    const int *cbx = rowX(cb.x);
+    const int *cby = rowY(cb.y);
+    std::array<const int *, kMaxGroup> gx{};
+    std::array<const int *, kMaxGroup> gy{};
+    std::array<int, kMaxGroup> cb_to_g{};
+    for (std::size_t g = 0; g < n_group; ++g) {
         slots[g].tile = group[g];
-    slots.back().tile = cb;
+        gx[g] = rowX(group[g].x);
+        gy[g] = rowY(group[g].y);
+        cb_to_g[g] = cbx[group[g].x] + cby[group[g].y];
+    }
 
-    // The same tile loop as evaluate(), restricted to this CB. All
-    // increments are multiples of 0.5 well below 2^52, so the partial
-    // sums are exact and combine order-independently.
+    // The same tile loop as evaluate(), restricted to this CB, with
+    // the same integer comparisons and the same additions in the same
+    // order. All increments are multiples of 0.5 well below 2^52, so
+    // the partial sums are exact and combine order-independently.
     for (int y = 0; y < h_; ++y) {
         for (int x = 0; x < w_; ++x) {
-            Coord p{x, y};
-            if (isCb(p))
+            if (cbMask_[static_cast<std::size_t>(y * w_ + x)])
                 continue;
-            int base = prob_->distance(cb, p);
+            int base = cbx[x] + cby[y];
 
-            int elig[2];
+            std::size_t elig[2];
+            int g_to_p[2];
             int n_elig = 0;
-            for (std::size_t g = 0; g < group.size(); ++g) {
-                if (prob_->distance(cb, group[g]) +
-                        prob_->distance(group[g], p) ==
-                        base &&
-                    n_elig < 2)
-                    elig[n_elig++] = static_cast<int>(g);
+            for (std::size_t g = 0; g < n_group && n_elig < 2; ++g) {
+                int d = gx[g][x] + gy[g][y];
+                if (cb_to_g[g] + d == base) {
+                    elig[n_elig] = g;
+                    g_to_p[n_elig++] = d;
+                }
             }
-            bool on_axis = cb.x == p.x || cb.y == p.y;
+            bool on_axis = cb.x == x || cb.y == y;
             if (n_elig == 0) {
-                slots.back().load += 1.0;
-                ++slots.back().count;
+                local.load += 1.0;
+                ++local.count;
                 out.hopSum += base;
             } else if (on_axis || n_elig == 1) {
-                auto &s0 = slots[static_cast<std::size_t>(elig[0])];
+                auto &s0 = slots[elig[0]];
                 s0.load += 1.0;
                 ++s0.count;
-                out.hopSum +=
-                    1 + prob_->distance(
-                            group[static_cast<std::size_t>(elig[0])], p);
+                out.hopSum += 1 + g_to_p[0];
             } else {
-                auto &s0 = slots[static_cast<std::size_t>(elig[0])];
-                auto &s1 = slots[static_cast<std::size_t>(elig[1])];
+                auto &s0 = slots[elig[0]];
+                auto &s1 = slots[elig[1]];
                 s0.load += 0.5;
                 ++s0.count;
                 s1.load += 0.5;
                 ++s1.count;
                 out.hopSum +=
-                    0.5 * (1 + prob_->distance(
-                                   group[static_cast<std::size_t>(
-                                       elig[0])],
-                                   p)) +
-                    0.5 * (1 + prob_->distance(
-                                   group[static_cast<std::size_t>(
-                                       elig[1])],
-                                   p));
+                    0.5 * (1 + g_to_p[0]) + 0.5 * (1 + g_to_p[1]);
             }
             out.hopWeight += 1.0;
         }
     }
 
-    for (auto &s : slots)
-        if (s.count > 0)
-            out.loads.push_back(s);
+    for (std::size_t g = 0; g <= n_group; ++g)
+        if (slots[g].count > 0)
+            out.loads.push_back(slots[g]);
 
-    out.links.reserve(group.size());
+    out.linkIds.reserve(group.size());
     for (const auto &e : group) {
-        out.links.push_back(Segment{cb, e});
+        std::uint16_t id = linkId_[static_cast<std::size_t>(
+            (cb_idx * h_ + e.y) * w_ + e.x)];
+        eqx_assert(id != 0xffff, "EIR tile is not a candidate of its CB");
+        out.linkIds.push_back(id);
         int hops = manhattan(cb, e);
         out.lengthHops += hops;
         if (hops > kReachHops)
@@ -267,8 +333,9 @@ EirEvaluator::contribution(int cb_idx,
 {
     eqx_assert(cb_idx >= 0 && cb_idx < prob_->numCbs(),
                "contribution for an unknown CB");
-    MemoKey key{cb_idx, group};
-    auto it = memo_.find(key);
+    if (group.empty())
+        return local_[static_cast<std::size_t>(cb_idx)];
+    auto it = memo_.find(MemoProbe{cb_idx, &group});
     if (it != memo_.end()) {
         ++memoHits_;
         return it->second;
@@ -279,7 +346,8 @@ EirEvaluator::contribution(int cb_idx,
         computeContribution(cb_idx, group, scratch_);
         return scratch_;
     }
-    auto [ins, ok] = memo_.emplace(std::move(key), EvalContribution{});
+    auto [ins, ok] =
+        memo_.emplace(MemoKey{cb_idx, group}, EvalContribution{});
     (void)ok;
     computeContribution(cb_idx, group, ins->second);
     return ins->second;

@@ -59,10 +59,11 @@ struct EvalBreakdown
 /**
  * One CB's complete, selection-independent effect on the evaluation:
  * injection-point load deltas (at most the group tiles plus the CB
- * itself), hop partial sums, and the group's interposer link segments
- * with their length/reach facts. Contributions are independent per CB
- * and every double in them is an exact multiple of 0.5, so they can
- * be added to and removed from a running total without drift.
+ * itself), hop partial sums, and the ids of the group's interposer
+ * link segments with their length/reach facts. Contributions are
+ * independent per CB and every double in them is an exact multiple of
+ * 0.5, so they can be added to and removed from a running total
+ * without drift.
  */
 struct EvalContribution
 {
@@ -76,7 +77,8 @@ struct EvalContribution
     std::vector<TileLoad> loads; ///< only tiles with count > 0
     double hopSum = 0.0;
     double hopWeight = 0.0;
-    std::vector<Segment> links;  ///< CB -> EIR wire segments
+    /** CB -> EIR wire segments, as EirEvaluator::crossingTable() ids. */
+    std::vector<std::uint16_t> linkIds;
     double lengthHops = 0.0;     ///< sum of link Manhattan spans
     int overReach = 0;           ///< links beyond the 1-cycle reach
 };
@@ -117,11 +119,14 @@ class EirEvaluator
     }
 
     /**
-     * CB @p cb_idx's contribution when assigned @p group (group order
-     * is significant: the Buffer Selection policy prefers earlier
-     * listed EIRs on ties). Memoized; the returned reference is valid
-     * until the next contribution() call (the memo may decline to
-     * retain an entry once kMemoCap entries are cached).
+     * CB @p cb_idx's contribution when assigned @p group, a group of
+     * at most 8 of candidates(@p cb_idx) as every search draws (group
+     * order is significant: the Buffer Selection policy prefers
+     * earlier listed EIRs on ties). The empty group's is computed once
+     * per CB at construction; others are memoized. The returned
+     * reference is valid until the next contribution() call (the memo
+     * may decline to retain an entry once kMemoCap entries are
+     * cached).
      */
     const EvalContribution &
     contribution(int cb_idx, const std::vector<Coord> &group) const;
@@ -143,6 +148,13 @@ class EirEvaluator
         return cbMask_[static_cast<std::size_t>(c.y * w_ + c.x)] != 0;
     }
 
+    /**
+     * segmentsCross over every candidate CB -> EIR link. Link ids
+     * number the candidates of CB 0, then those of CB 1, and so on,
+     * each CB's in candidates() order.
+     */
+    const CrossingTable &crossingTable() const { return crossTable_; }
+
     /** Memo observability (for the bench and the equivalence tests). */
     std::uint64_t memoHits() const { return memoHits_; }
     std::uint64_t memoMisses() const { return memoMisses_; }
@@ -158,30 +170,67 @@ class EirEvaluator
     {
         int cb;
         std::vector<Coord> group;
-        bool
-        operator==(const MemoKey &o) const
-        {
-            return cb == o.cb && group == o.group;
-        }
     };
+    /** A (cb, group) lookup that borrows the caller's group. */
+    struct MemoProbe
+    {
+        int cb;
+        const std::vector<Coord> *group;
+    };
+    /**
+     * FNV-1a over the CB index and the ordered tile sequence. Hash and
+     * equality are transparent, so a lookup hashes and compares the
+     * caller's group in place; only a miss copies it into a key.
+     */
     struct MemoKeyHash
     {
-        std::size_t
-        operator()(const MemoKey &k) const
+        using is_transparent = void;
+
+        static std::size_t
+        hash(int cb, const std::vector<Coord> &group)
         {
-            // FNV-1a over the CB index and the ordered tile sequence.
             std::uint64_t h = 1469598103934665603ULL;
             auto mix = [&h](std::uint64_t v) {
                 h ^= v;
                 h *= 1099511628211ULL;
             };
-            mix(static_cast<std::uint64_t>(k.cb));
-            for (const auto &c : k.group)
+            mix(static_cast<std::uint64_t>(cb));
+            for (const auto &c : group)
                 mix((static_cast<std::uint64_t>(
                          static_cast<std::uint32_t>(c.y))
                      << 32) |
                     static_cast<std::uint32_t>(c.x));
             return static_cast<std::size_t>(h);
+        }
+        std::size_t
+        operator()(const MemoKey &k) const
+        {
+            return hash(k.cb, k.group);
+        }
+        std::size_t
+        operator()(const MemoProbe &p) const
+        {
+            return hash(p.cb, *p.group);
+        }
+    };
+    struct MemoKeyEq
+    {
+        using is_transparent = void;
+
+        bool
+        operator()(const MemoKey &a, const MemoKey &b) const
+        {
+            return a.cb == b.cb && a.group == b.group;
+        }
+        bool
+        operator()(const MemoProbe &a, const MemoKey &b) const
+        {
+            return a.cb == b.cb && *a.group == b.group;
+        }
+        bool
+        operator()(const MemoKey &a, const MemoProbe &b) const
+        {
+            return (*this)(b, a);
         }
     };
 
@@ -210,8 +259,21 @@ class EirEvaluator
     double loadRef_;  ///< PEs per CB if all traffic used one point
     std::vector<std::uint8_t> cbMask_;  ///< CB occupancy, row-major
     std::vector<double> loadFactor_;    ///< 1 + 0.3 x hot coverage
-    mutable std::unordered_map<MemoKey, EvalContribution, MemoKeyHash>
+    /**
+     * Per-axis hop distances: distance(a, b) == axisX_[a.x * w_ + b.x]
+     * + axisY_[a.y * h_ + b.y] for every tile pair (asserted at
+     * construction), so the contribution kernel reads two small
+     * tables instead of calling Topology::distance.
+     */
+    std::vector<int> axisX_;
+    std::vector<int> axisY_;
+    /** Link id of CB -> tile, per CB a row-major grid (0xffff: none). */
+    std::vector<std::uint16_t> linkId_;
+    CrossingTable crossTable_;
+    mutable std::unordered_map<MemoKey, EvalContribution, MemoKeyHash,
+                               MemoKeyEq>
         memo_;
+    std::vector<EvalContribution> local_; ///< per CB, the empty group
     mutable EvalContribution scratch_; ///< overflow result past the cap
     mutable std::uint64_t memoHits_ = 0;
     mutable std::uint64_t memoMisses_ = 0;

@@ -11,6 +11,8 @@
 #ifndef EQX_CORE_HOTZONE_HH
 #define EQX_CORE_HOTZONE_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
@@ -56,6 +58,32 @@ class HotZoneMap
  * delay (paper's example: two overlap neighbours -> 1+2 = 3).
  */
 int tilePenalty(const HotZoneMap &map, const Coord &c);
+
+/**
+ * Scores placements on one board with one reused, zero-bordered
+ * coverage grid (DESIGN.md §15.5). penalty() equals summing
+ * tilePenalty() over a HotZoneMap of the same CBs: it counts the same
+ * clipped hot-zone tiles and scores each tile from the overlap flags
+ * of its four direct neighbours, where the border cells always read 0
+ * like HotZoneMap's out-of-bounds coverage.
+ */
+class PlacementScorer
+{
+  public:
+    static constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
+
+    PlacementScorer(int width, int height);
+
+    /** Penalty of @p cbs, leaving out the CB at index @p skip. */
+    int penalty(const std::vector<Coord> &cbs,
+                std::size_t skip = kNoSkip);
+
+  private:
+    int w_;
+    int h_;
+    int stride_; ///< padded row length, w_ + 2
+    std::vector<std::uint8_t> cover_;
+};
 
 /** Total penalty of a placement: the sum of all tile penalties. */
 int placementPenalty(const std::vector<Coord> &cbs, int width, int height);

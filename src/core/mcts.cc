@@ -14,6 +14,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -52,31 +53,34 @@ randomGroup(const EirProblem &prob, int cb_idx, const TileMask &taken,
             Rng &rng, double take_prob)
 {
     std::vector<Coord> group;
-    std::vector<int> octs = {0, 1, 2, 3, 4, 5, 6, 7};
+    group.reserve(static_cast<std::size_t>(prob.maxPerGroup()));
+    std::array<int, 8> octs{{0, 1, 2, 3, 4, 5, 6, 7}};
     rng.shuffle(octs);
 
-    const Coord &cb = prob.cbs()[static_cast<std::size_t>(cb_idx)];
-    auto is_taken = [&](const Coord &c) {
-        if (taken.test(c))
-            return true;
-        for (const auto &g : group)
-            if (g == c)
-                return true;
-        return false;
-    };
-
+    // A draw picks the k-th free candidate of the octant, in candidate
+    // order. Each octant is visited once and a candidate lies in one
+    // octant, so no tile of the group so far can be among them.
+    const auto &cands = prob.candidates(cb_idx);
     for (int oct : octs) {
         if (static_cast<int>(group.size()) >= prob.maxPerGroup())
             break;
         if (!rng.chance(take_prob))
             continue;
-        std::vector<Coord> opts;
-        for (const auto &c : prob.candidates(cb_idx))
-            if (directionOctant(cb, c) == oct && !is_taken(c))
-                opts.push_back(c);
-        if (opts.empty())
+        const auto &in_oct = prob.octantCandidates(cb_idx, oct);
+        std::uint64_t free = 0;
+        for (std::uint16_t ci : in_oct)
+            free += !taken.test(cands[ci]);
+        if (free == 0)
             continue;
-        group.push_back(opts[rng.nextBounded(opts.size())]);
+        std::uint64_t k = rng.nextBounded(free);
+        for (std::uint16_t ci : in_oct) {
+            if (taken.test(cands[ci]))
+                continue;
+            if (k-- == 0) {
+                group.push_back(cands[ci]);
+                break;
+            }
+        }
     }
     return group;
 }
@@ -109,13 +113,9 @@ mctsSearch(const EirProblem &prob, const EirEvaluator &eval,
         root.depth = level;
 
         auto initUntried = [&](Node &node) {
-            auto groups = prob.groupsFor(node.depth, acc.takenMask());
-            rng.shuffle(groups);
-            if (static_cast<int>(groups.size()) >
-                params.maxChildrenPerNode)
-                groups.resize(
-                    static_cast<std::size_t>(params.maxChildrenPerNode));
-            node.untried = std::move(groups);
+            node.untried = prob.groupsFor(
+                node.depth, acc.takenMask(),
+                static_cast<std::size_t>(params.maxChildrenPerNode), &rng);
             node.untriedInit = true;
         };
 

@@ -12,59 +12,78 @@ namespace eqx {
 namespace {
 
 /**
- * Generic backtracking enumerator. The column order tried at each row
- * is given by col_order (identity = lexicographic).
+ * Backtracking N-Queen solver whose board buffers outlive one search,
+ * so repeated searches (sampleNQueens) allocate nothing. The column
+ * order tried at each row is the caller's (identity = lexicographic).
  */
-void
-backtrack(int n, int row, std::vector<int> &cols,
-          std::vector<bool> &used_col, std::vector<bool> &used_sum,
-          std::vector<bool> &used_diff, const std::vector<int> &col_order,
-          std::vector<std::vector<Coord>> &out, std::size_t max_solutions)
+class QueenSolver
 {
-    if (out.size() >= max_solutions)
-        return;
-    if (row == n) {
-        std::vector<Coord> sol;
-        sol.reserve(static_cast<std::size_t>(n));
-        for (int r = 0; r < n; ++r)
-            sol.push_back({cols[static_cast<std::size_t>(r)], r});
-        out.push_back(std::move(sol));
-        return;
+  public:
+    explicit QueenSolver(int n)
+        : n_(n), cols_(static_cast<std::size_t>(n), -1),
+          usedCol_(static_cast<std::size_t>(n), 0),
+          usedSum_(static_cast<std::size_t>(2 * n - 1), 0),
+          usedDiff_(static_cast<std::size_t>(2 * n - 1), 0)
+    {
     }
-    for (int c : col_order) {
-        int sum = row + c;
-        int diff = row - c + n - 1;
-        if (used_col[static_cast<std::size_t>(c)] ||
-            used_sum[static_cast<std::size_t>(sum)] ||
-            used_diff[static_cast<std::size_t>(diff)])
-            continue;
-        used_col[static_cast<std::size_t>(c)] = true;
-        used_sum[static_cast<std::size_t>(sum)] = true;
-        used_diff[static_cast<std::size_t>(diff)] = true;
-        cols[static_cast<std::size_t>(row)] = c;
-        backtrack(n, row + 1, cols, used_col, used_sum, used_diff,
-                  col_order, out, max_solutions);
-        used_col[static_cast<std::size_t>(c)] = false;
-        used_sum[static_cast<std::size_t>(sum)] = false;
-        used_diff[static_cast<std::size_t>(diff)] = false;
-        if (out.size() >= max_solutions)
-            return;
-    }
-}
 
-std::vector<std::vector<Coord>>
-enumerate(int n, std::size_t max_solutions,
-          const std::vector<int> &col_order)
-{
-    std::vector<std::vector<Coord>> out;
-    std::vector<int> cols(static_cast<std::size_t>(n), -1);
-    std::vector<bool> used_col(static_cast<std::size_t>(n), false);
-    std::vector<bool> used_sum(static_cast<std::size_t>(2 * n - 1), false);
-    std::vector<bool> used_diff(static_cast<std::size_t>(2 * n - 1), false);
-    backtrack(n, 0, cols, used_col, used_sum, used_diff, col_order, out,
-              max_solutions);
-    return out;
-}
+    /**
+     * Visit solutions in @p col_order preference order; the search
+     * stops when @p visit returns false. Every mark is undone on the
+     * way out, while cols() keeps the last solution visited.
+     */
+    template <typename Visit>
+    void
+    solve(const std::vector<int> &col_order, Visit &&visit)
+    {
+        stop_ = false;
+        place(0, col_order, visit);
+    }
+
+    /** Column of the queen in each row, for the last solution. */
+    const std::vector<int> &cols() const { return cols_; }
+
+    std::vector<Coord>
+    coords() const
+    {
+        std::vector<Coord> sol;
+        sol.reserve(static_cast<std::size_t>(n_));
+        for (int r = 0; r < n_; ++r)
+            sol.push_back({cols_[static_cast<std::size_t>(r)], r});
+        return sol;
+    }
+
+  private:
+    template <typename Visit>
+    void
+    place(int row, const std::vector<int> &col_order, Visit &visit)
+    {
+        if (row == n_) {
+            stop_ = !visit();
+            return;
+        }
+        for (int c : col_order) {
+            auto col = static_cast<std::size_t>(c);
+            auto sum = static_cast<std::size_t>(row + c);
+            auto diff = static_cast<std::size_t>(row - c + n_ - 1);
+            if (usedCol_[col] || usedSum_[sum] || usedDiff_[diff])
+                continue;
+            usedCol_[col] = usedSum_[sum] = usedDiff_[diff] = 1;
+            cols_[static_cast<std::size_t>(row)] = c;
+            place(row + 1, col_order, visit);
+            usedCol_[col] = usedSum_[sum] = usedDiff_[diff] = 0;
+            if (stop_)
+                return;
+        }
+    }
+
+    int n_;
+    bool stop_ = false;
+    std::vector<int> cols_;
+    std::vector<std::uint8_t> usedCol_;
+    std::vector<std::uint8_t> usedSum_;
+    std::vector<std::uint8_t> usedDiff_;
+};
 
 } // namespace
 
@@ -72,15 +91,17 @@ std::vector<std::vector<Coord>>
 solveNQueens(int n, std::size_t max_solutions)
 {
     eqx_assert(n >= 1, "board size must be positive");
+    std::vector<std::vector<Coord>> out;
+    if (max_solutions == 0)
+        return out;
     std::vector<int> order(static_cast<std::size_t>(n));
     std::iota(order.begin(), order.end(), 0);
-    return enumerate(n, max_solutions, order);
-}
-
-std::size_t
-countNQueenSolutions(int n, std::size_t cap)
-{
-    return solveNQueens(n, cap).size();
+    QueenSolver solver(n);
+    solver.solve(order, [&] {
+        out.push_back(solver.coords());
+        return out.size() < max_solutions;
+    });
+    return out;
 }
 
 std::vector<std::vector<Coord>>
@@ -88,23 +109,22 @@ sampleNQueens(int n, std::size_t count, Rng &rng)
 {
     std::set<std::vector<int>> seen;
     std::vector<std::vector<Coord>> out;
+    QueenSolver solver(n);
+    std::vector<int> order(static_cast<std::size_t>(n));
     // Each attempt shuffles the column preference order and takes the
     // first solution found; retry on duplicates.
     std::size_t attempts = 0;
     while (out.size() < count && attempts < count * 20 + 50) {
         ++attempts;
-        std::vector<int> order(static_cast<std::size_t>(n));
         std::iota(order.begin(), order.end(), 0);
         rng.shuffle(order);
-        auto sols = enumerate(n, 1, order);
-        if (sols.empty())
-            continue;
-        std::vector<int> key;
-        key.reserve(sols[0].size());
-        for (const auto &c : sols[0])
-            key.push_back(c.x);
-        if (seen.insert(key).second)
-            out.push_back(std::move(sols[0]));
+        bool found = false;
+        solver.solve(order, [&found] {
+            found = true;
+            return false;
+        });
+        if (found && seen.insert(solver.cols()).second)
+            out.push_back(solver.coords());
     }
     return out;
 }
@@ -112,30 +132,25 @@ sampleNQueens(int n, std::size_t count, Rng &rng)
 namespace {
 
 /**
- * Greedy trim: remove queens one at a time, each time deleting the one
- * whose removal yields the lowest hot-zone penalty.
+ * Greedy trim, in place: remove queens one at a time, each time
+ * deleting the one whose removal yields the lowest hot-zone penalty
+ * (the first such queen on ties).
  */
-std::vector<Coord>
-greedyTrim(std::vector<Coord> cbs, int num_cbs, int n)
+void
+greedyTrim(std::vector<Coord> &cbs, int num_cbs, PlacementScorer &scorer)
 {
     while (static_cast<int>(cbs.size()) > num_cbs) {
-        int best_idx = -1;
+        std::size_t best_idx = 0;
         int best_penalty = 0;
         for (std::size_t i = 0; i < cbs.size(); ++i) {
-            std::vector<Coord> trial;
-            trial.reserve(cbs.size() - 1);
-            for (std::size_t j = 0; j < cbs.size(); ++j)
-                if (j != i)
-                    trial.push_back(cbs[j]);
-            int p = placementPenalty(trial, n, n);
-            if (best_idx < 0 || p < best_penalty) {
-                best_idx = static_cast<int>(i);
+            int p = scorer.penalty(cbs, i);
+            if (i == 0 || p < best_penalty) {
+                best_idx = i;
                 best_penalty = p;
             }
         }
-        cbs.erase(cbs.begin() + best_idx);
+        cbs.erase(cbs.begin() + static_cast<std::ptrdiff_t>(best_idx));
     }
-    return cbs;
 }
 
 } // namespace
@@ -144,6 +159,8 @@ ScoredPlacement
 bestNQueenPlacement(int n, int num_cbs, Rng &rng, std::size_t sample_count)
 {
     eqx_assert(num_cbs <= n, "use knightPlacement when num_cbs > n");
+    // Every sample is drawn before any is scored, so the caller's Rng
+    // ends in the same state however early the scoring loop stops.
     std::vector<std::vector<Coord>> sols;
     if (n <= 8)
         sols = solveNQueens(n, 100000); // 8x8: all 92
@@ -151,16 +168,20 @@ bestNQueenPlacement(int n, int num_cbs, Rng &rng, std::size_t sample_count)
         sols = sampleNQueens(n, sample_count, rng);
     eqx_assert(!sols.empty(), "no N-Queen solutions found");
 
+    PlacementScorer scorer(n, n);
     ScoredPlacement best;
+    std::vector<Coord> cbs;
     bool first = true;
-    for (auto &sol : sols) {
-        std::vector<Coord> cbs =
-            static_cast<int>(sol.size()) == num_cbs
-                ? sol
-                : greedyTrim(sol, num_cbs, n);
-        int p = placementPenalty(cbs, n, n);
+    for (const auto &sol : sols) {
+        // 0 is the penalty's floor and ties keep the first placement,
+        // so nothing after a 0 can replace it.
+        if (!first && best.penalty == 0)
+            break;
+        cbs.assign(sol.begin(), sol.end());
+        greedyTrim(cbs, num_cbs, scorer);
+        int p = scorer.penalty(cbs);
         if (first || p < best.penalty) {
-            best.cbs = std::move(cbs);
+            best.cbs = cbs;
             best.penalty = p;
             first = false;
         }

@@ -26,9 +26,6 @@ namespace eqx {
 std::vector<std::vector<Coord>> solveNQueens(int n,
                                              std::size_t max_solutions);
 
-/** Number of solutions (capped); convenience over solveNQueens. */
-std::size_t countNQueenSolutions(int n, std::size_t cap);
-
 /**
  * Sample distinct N-Queen solutions for large boards by randomized
  * backtracking (column order shuffled per row). Deterministic for a

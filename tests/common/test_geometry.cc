@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/geometry.hh"
+#include "common/rng.hh"
 
 namespace eqx {
 namespace {
@@ -118,6 +119,59 @@ TEST(Geometry, SegmentLength)
 {
     EXPECT_DOUBLE_EQ(segmentLength({{0, 0}, {3, 4}}), 5.0);
     EXPECT_DOUBLE_EQ(segmentLength({{1, 1}, {1, 1}}), 0.0);
+}
+
+TEST(Geometry, CrossingTableMatchesSegmentsCross)
+{
+    std::vector<Segment> segs = {
+        {{0, 0}, {2, 2}}, {{0, 2}, {2, 0}}, {{0, 0}, {0, 3}},
+        {{0, 0}, {2, 0}}, {{1, 0}, {3, 0}}, {{2, 2}, {4, 2}},
+    };
+    CrossingTable table(segs);
+    ASSERT_EQ(table.size(), segs.size());
+    for (std::size_t i = 0; i < segs.size(); ++i)
+        for (std::size_t j = 0; j < segs.size(); ++j)
+            EXPECT_EQ(table.crosses(i, j), segmentsCross(segs[i], segs[j]))
+                << i << " vs " << j;
+}
+
+TEST(Geometry, LedgerEqualsRecountUnderRandomAddRemove)
+{
+    // Random slots of up to four wires (a repeated id included) over a
+    // table wider than one 64-bit word per row.
+    Rng rng(17);
+    std::vector<Segment> segs;
+    for (int i = 0; i < 150; ++i) {
+        Coord a{static_cast<int>(rng.nextBounded(10)),
+                static_cast<int>(rng.nextBounded(10))};
+        Coord b{static_cast<int>(rng.nextBounded(10)),
+                static_cast<int>(rng.nextBounded(10))};
+        segs.push_back({a, b});
+    }
+    CrossingTable table(segs);
+    CrossingLedger ledger(&table);
+    constexpr int kSlots = 8;
+    std::vector<std::vector<std::uint16_t>> present(kSlots);
+    for (int step = 0; step < 2000; ++step) {
+        int slot = static_cast<int>(rng.nextBounded(kSlots));
+        auto &ids = present[static_cast<std::size_t>(slot)];
+        if (!ids.empty()) {
+            ledger.remove(slot);
+            ids.clear();
+        } else {
+            std::size_t n = rng.nextBounded(5);
+            for (std::size_t k = 0; k < n; ++k)
+                ids.push_back(static_cast<std::uint16_t>(
+                    rng.nextBounded(segs.size())));
+            ledger.add(slot, ids);
+        }
+        std::vector<Segment> all;
+        for (const auto &p : present)
+            for (std::uint16_t id : p)
+                all.push_back(segs[id]);
+        ASSERT_EQ(ledger.crossings(), countCrossings(all)) << step;
+        ASSERT_EQ(ledger.size(), all.size());
+    }
 }
 
 } // namespace

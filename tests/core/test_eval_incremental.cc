@@ -21,11 +21,11 @@ namespace eqx {
 namespace {
 
 EirProblem
-paperProblem(int n, int num_cbs)
+paperProblem(int n, int num_cbs, const TopoSpec &topo = {})
 {
     Rng rng(7);
     auto placed = bestNQueenPlacement(n, num_cbs, rng);
-    return EirProblem(n, n, placed.cbs);
+    return EirProblem(n, n, placed.cbs, 3, 4, topo);
 }
 
 /** Draw a random full selection, prefix by prefix. */
@@ -54,11 +54,14 @@ expectSameBreakdown(const EvalBreakdown &a, const EvalBreakdown &b)
     EXPECT_EQ(a.repeaterFrac, b.repeaterFrac);
 }
 
-/** Incremental == from-scratch at every prefix of random selections. */
+/**
+ * Incremental == from-scratch at every prefix of random selections,
+ * then under in-place group replacement and backtracking.
+ */
 void
-checkScale(int n, int num_cbs, int rounds)
+checkScale(int n, int num_cbs, int rounds, const TopoSpec &topo = {})
 {
-    EirProblem prob = paperProblem(n, num_cbs);
+    EirProblem prob = paperProblem(n, num_cbs, topo);
     EirEvaluator eval(&prob);
     EvalAccumulator acc(&eval);
     Rng rng(42);
@@ -74,7 +77,30 @@ checkScale(int n, int num_cbs, int rounds)
             prefix.resize(static_cast<std::size_t>(prob.numCbs()));
             expectSameBreakdown(acc.evaluate(), eval.evaluate(prefix));
         }
+        for (int move = 0; move < prob.numCbs(); ++move) {
+            int cb = static_cast<int>(rng.nextBounded(
+                static_cast<std::uint64_t>(prob.numCbs())));
+            acc.setGroup(cb, {});
+            acc.setGroup(cb, randomGroup(prob, cb, acc.takenMask(), rng));
+            expectSameBreakdown(acc.evaluate(),
+                                eval.evaluate(acc.selection()));
+        }
+        while (acc.depth() > 0) {
+            acc.pop();
+            EirSelection prefix = acc.selection();
+            prefix.resize(static_cast<std::size_t>(prob.numCbs()));
+            expectSameBreakdown(acc.evaluate(), eval.evaluate(prefix));
+        }
     }
+}
+
+TopoSpec
+topoOf(TopologyKind kind, int concentration = 2)
+{
+    TopoSpec t;
+    t.kind = kind;
+    t.concentration = concentration;
+    return t;
 }
 
 TEST(EvalIncremental, MatchesFromScratch6x6)
@@ -90,6 +116,30 @@ TEST(EvalIncremental, MatchesFromScratchPaperScale8x8)
 TEST(EvalIncremental, MatchesFromScratch16x16)
 {
     checkScale(16, 8, 3);
+}
+
+// The contribution kernel reads per-axis hop tables; on the torus the
+// per-ring minimum wraps (even rings have a tie at half the ring, odd
+// rings do not), and a concentrated grid measures router-grid hops.
+
+TEST(EvalIncremental, MatchesFromScratchTorusOddRing9x9)
+{
+    checkScale(9, 8, 4, topoOf(TopologyKind::Torus));
+}
+
+TEST(EvalIncremental, MatchesFromScratchTorusEvenRing16x16)
+{
+    checkScale(16, 8, 3, topoOf(TopologyKind::Torus));
+}
+
+TEST(EvalIncremental, MatchesFromScratchConcentrated8x8)
+{
+    checkScale(8, 8, 4, topoOf(TopologyKind::CMesh, 2));
+}
+
+TEST(EvalIncremental, MatchesFromScratchConcentrated12x12)
+{
+    checkScale(12, 8, 3, topoOf(TopologyKind::CMesh, 3));
 }
 
 TEST(EvalIncremental, PushPopRestoresScoreBitExactly)

@@ -27,7 +27,7 @@ class NQueenCounts : public ::testing::TestWithParam<CountCase> {};
 
 TEST_P(NQueenCounts, MatchesKnownSequence)
 {
-    EXPECT_EQ(countNQueenSolutions(static_cast<int>(GetParam().n), 1000000),
+    EXPECT_EQ(solveNQueens(static_cast<int>(GetParam().n), 1000000).size(),
               GetParam().count);
 }
 
